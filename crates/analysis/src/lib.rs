@@ -14,8 +14,10 @@
 //!   and by which path, who signals whom, who may issue which
 //!   hypercalls); [`rules`] checks least-privilege invariants as
 //!   declarative rules with stable IDs; [`overpriv`] diffs each shard's
-//!   *static* whitelist against the hypercalls it *actually* issued in a
-//!   recorded simulation trace.
+//!   *static* whitelist against the hypercalls it *actually* issued, as
+//!   recorded by a [`overpriv::CallRecorder`] on the hypercall gate.
+//!   The snapshot and the dynamic spec below read the hypervisor through
+//!   one walk, [`capture::HvWalk`].
 //!
 //! * **Pass B — token-level source boundaries** (`xoar-lint` binary):
 //!   [`lint`] scans `crates/*/src` with a comment/string-aware token
@@ -31,8 +33,8 @@
 //!
 //! A third, *dynamic* pass complements the static rules: [`spec`] is an
 //! executable isolation specification — a small memory-ownership model
-//! advanced in lockstep with the real hypervisor on every hypercall via
-//! the dispatch hook, asserting after each step that the implementation
+//! advanced in lockstep with the real hypervisor on every hypercall as a
+//! gate observer, asserting after each step that the implementation
 //! refines the model (every mapping, grant, CoW alias, and
 //! clone fall-through is justified; no frame is cross-domain
 //! read-visible without a declared edge). Divergences carry a minimal
@@ -40,6 +42,7 @@
 
 #![warn(missing_docs)]
 
+pub mod capture;
 pub mod lint;
 pub mod overpriv;
 pub mod reach;

@@ -1,8 +1,9 @@
 //! Static-versus-used privilege diffing.
 //!
 //! The paper sizes each shard's whitelist by need; this module *checks*
-//! that sizing. [`traced_scenario`] boots a Xoar platform with hypercall
-//! tracing enabled from the very first boot-time call and drives one
+//! that sizing. [`traced_scenario`] boots a Xoar platform with a
+//! [`CallRecorder`] on the hypercall gate from the very first boot-time
+//! call and drives one
 //! representative pass over every management and data-path operation the
 //! platform supports (guest creation — PV and HVM —, toolstack
 //! pause/resume/resize, device-model DMA, network and block I/O,
@@ -16,11 +17,59 @@
 //! so the resulting table is stable across runs and is committed to
 //! EXPERIMENTS.md.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_hypervisor::memory::Pfn;
-use xoar_hypervisor::{DomId, HvError, HvResult, Hypercall, HypercallId};
+use xoar_hypervisor::{DomId, GateObserver, HvError, HvResult, Hypercall, HypercallId, Hypervisor};
+
+/// One screened hypercall, as the recorder saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallRecord {
+    /// Issuing domain.
+    pub caller: DomId,
+    /// Hypercall class.
+    pub id: HypercallId,
+    /// Whether it passed the whitelist and completed without error.
+    pub allowed: bool,
+}
+
+/// A gate observer recording every screened call — direct calls,
+/// denials and multicall sub-calls — in gate order. Clones share one
+/// log, so the handle [`CallRecorder::attach`] returns reads what the
+/// attached copy records.
+#[derive(Debug, Clone, Default)]
+pub struct CallRecorder {
+    log: Rc<RefCell<Vec<CallRecord>>>,
+}
+
+impl CallRecorder {
+    /// Attaches a recorder to `hv`'s gate and returns its handle.
+    pub fn attach(hv: &mut Hypervisor) -> CallRecorder {
+        let recorder = CallRecorder::default();
+        hv.add_observer(Box::new(recorder.clone()));
+        recorder
+    }
+
+    /// Drains the records accumulated so far.
+    pub fn take(&self) -> Vec<CallRecord> {
+        std::mem::take(&mut *self.log.borrow_mut())
+    }
+}
+
+impl GateObserver for CallRecorder {
+    fn screened(&mut self, caller: DomId, id: HypercallId, allowed: bool) {
+        if let Ok(mut log) = self.log.try_borrow_mut() {
+            log.push(CallRecord {
+                caller,
+                id,
+                allowed,
+            });
+        }
+    }
+}
 
 /// One row of the over-privilege table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +80,7 @@ pub struct OverprivEntry {
     pub name: String,
     /// Statically whitelisted privileged calls, `Ord` order.
     pub declared: Vec<HypercallId>,
-    /// Privileged calls actually issued (and allowed) in the trace.
+    /// Privileged calls actually issued (and allowed) in the record.
     pub used: Vec<HypercallId>,
     /// `declared - used`: the shedding candidates.
     pub unused: Vec<HypercallId>,
@@ -39,13 +88,12 @@ pub struct OverprivEntry {
 
 /// Boots a traced platform and drives the representative workload.
 ///
-/// Returns the platform with the full trace (boot included) still
-/// buffered inside the hypervisor; pass it to [`report`].
-pub fn traced_scenario() -> HvResult<Platform> {
-    let mut p = Platform::xoar(XoarConfig {
-        trace_hypercalls: true,
-        ..Default::default()
-    });
+/// Returns the platform and the recorder holding every screened call
+/// (boot included); pass both to [`report`].
+pub fn traced_scenario() -> HvResult<(Platform, CallRecorder)> {
+    let mut hv = Hypervisor::with_default_host();
+    let recorder = CallRecorder::attach(&mut hv);
+    let mut p = Platform::xoar_on(hv, XoarConfig::default());
     let ts = p.services.toolstacks[0];
 
     // Guest lifecycle: one PV guest, one HVM guest (exercises the
@@ -115,18 +163,17 @@ pub fn traced_scenario() -> HvResult<Platform> {
 
     // Teardown of the HVM guest (toolstack destroy + stub reclamation).
     p.destroy_guest(ts, hvm)?;
-    Ok(p)
+    Ok((p, recorder))
 }
 
-/// Drains the platform's trace and produces the per-domain diff.
+/// Drains the recorder and produces the per-domain diff.
 ///
 /// Rows appear for every domain that either declares or used at least
 /// one privileged call — including domains already destroyed (the
 /// Bootstrapper's boot-time activity is the most interesting row).
-pub fn report(p: &mut Platform) -> Vec<OverprivEntry> {
-    let trace = p.hv.take_trace();
+pub fn report(p: &Platform, recorder: &CallRecorder) -> Vec<OverprivEntry> {
     let mut used: BTreeMap<DomId, BTreeSet<HypercallId>> = BTreeMap::new();
-    for t in &trace {
+    for t in &recorder.take() {
         if t.allowed && t.id.is_privileged() {
             used.entry(t.caller).or_default().insert(t.id);
         }
@@ -180,8 +227,8 @@ mod tests {
 
     #[test]
     fn scenario_runs_and_traces_boot() {
-        let mut p = traced_scenario().unwrap();
-        let rows = report(&mut p);
+        let (p, calls) = traced_scenario().unwrap();
+        let rows = report(&p, &calls);
         // The Bootstrapper (dom0, long destroyed) has a row: its
         // boot-time activity was traced because tracing starts before
         // the first shard is created.
@@ -193,10 +240,10 @@ mod tests {
 
     #[test]
     fn tightened_shards_show_no_dead_weight_on_core_rows() {
-        let mut p = traced_scenario().unwrap();
+        let (p, calls) = traced_scenario().unwrap();
         let ts = p.services.toolstacks[0];
         let builder = p.services.builder;
-        let rows = report(&mut p);
+        let rows = report(&p, &calls);
         // Satellite check for the shard.rs tightening: the scenario
         // exercises the toolstack's and bootstrapper's whitelists
         // completely — every declared call is observed in use.
@@ -221,11 +268,104 @@ mod tests {
         );
     }
 
+    /// A booted Xoar platform with one guest, plus a NetBack shard.
+    fn guest_and_netback() -> (Platform, DomId, DomId) {
+        let mut p = Platform::xoar(XoarConfig::default());
+        let ts = p.services.toolstacks[0];
+        let g = p
+            .create_guest(ts, GuestConfig::evaluation_guest("g"))
+            .unwrap();
+        let nb = p.services.netbacks[0];
+        (p, g, nb)
+    }
+
+    fn smuggle(p: &mut Platform, nb: DomId) -> Vec<HvResult<xoar_hypervisor::HypercallRet>> {
+        p.hv.hypercall(
+            nb,
+            Hypercall::Multicall {
+                calls: vec![Hypercall::SchedYield, Hypercall::SysctlPhysinfo],
+            },
+        )
+        .unwrap()
+        .multi()
+        .unwrap()
+    }
+
+    #[test]
+    fn tracing_records_denied_calls() {
+        let (mut p, g, _) = guest_and_netback();
+        let calls = CallRecorder::attach(&mut p.hv);
+        let _ = p.hv.hypercall(g, Hypercall::SysctlPhysinfo);
+        let trace = calls.take();
+        assert_eq!(trace.len(), 1);
+        assert!(!trace[0].allowed);
+        assert_eq!(trace[0].caller, g);
+        assert!(calls.take().is_empty(), "take drains the record");
+    }
+
+    #[test]
+    fn multicall_cannot_smuggle_unwhitelisted_subcall() {
+        let (mut p, _, nb) = guest_and_netback();
+        let calls = CallRecorder::attach(&mut p.hv);
+        let ret = smuggle(&mut p, nb);
+        assert_eq!(ret[0], Ok(xoar_hypervisor::HypercallRet::Ok));
+        assert!(matches!(ret[1], Err(HvError::PermissionDenied { .. })));
+        // The denied sub-call must be visible to the over-privilege
+        // audit, exactly as a direct denied call would be.
+        let trace = calls.take();
+        assert!(trace
+            .iter()
+            .any(|t| t.caller == nb && t.id == HypercallId::SysctlPhysinfo && !t.allowed));
+        assert!(trace
+            .iter()
+            .any(|t| t.caller == nb && t.id == HypercallId::Multicall && t.allowed));
+    }
+
+    #[test]
+    fn recorder_and_spec_observe_the_gate_together() {
+        let (mut p, g, nb) = guest_and_netback();
+        let calls = CallRecorder::attach(&mut p.hv);
+        let spec = crate::spec::SpecHandle::attach(&mut p.hv);
+        p.hv.hypercall(g, Hypercall::SchedYield).unwrap();
+        assert!(p.hv.hypercall(g, Hypercall::SysctlPhysinfo).is_err());
+        smuggle(&mut p, nb);
+
+        // The recorder sees every screened call: the direct denial, and
+        // the multicall's entries ahead of the multicall itself.
+        let record = |caller, id, allowed| CallRecord {
+            caller,
+            id,
+            allowed,
+        };
+        assert_eq!(
+            calls.take(),
+            vec![
+                record(g, HypercallId::SchedOp, true),
+                record(g, HypercallId::SysctlPhysinfo, false),
+                record(nb, HypercallId::SchedOp, true),
+                record(nb, HypercallId::SysctlPhysinfo, false),
+                record(nb, HypercallId::Multicall, true),
+            ]
+        );
+        // The spec steps on the same permitted top-level calls — the
+        // direct denial changed no state and never reaches it — and
+        // sees the smuggled entry fail inside the multicall.
+        assert_eq!(
+            spec.ops(),
+            vec![
+                format!("{g}: SchedYield -> ok"),
+                format!("{nb}: Multicall(2 calls: ok, err) -> ok"),
+            ]
+        );
+        assert_eq!(spec.checks(), 2);
+        assert!(spec.divergence().is_none(), "{:?}", spec.report());
+    }
+
     #[test]
     fn report_is_deterministic() {
         let render_once = || {
-            let mut p = traced_scenario().unwrap();
-            render(&report(&mut p))
+            let (p, calls) = traced_scenario().unwrap();
+            render(&report(&p, &calls))
         };
         assert_eq!(render_once(), render_once());
     }

@@ -15,6 +15,8 @@ use xoar_hypervisor::domain::{DomainRole, DomainState};
 use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::{DomId, PrivilegeSet};
 
+use crate::capture::HvWalk;
+
 /// Everything the rules need to know about one domain.
 #[derive(Debug, Clone)]
 pub struct DomainInfo {
@@ -180,15 +182,15 @@ impl ModelSnapshot {
     /// integrity-checkable memory state, never a half-hashed one.
     pub fn capture(p: &mut Platform) -> Self {
         p.hv.mem.materialize_hashes();
-        let mut domains = BTreeMap::new();
-        for id in p.hv.domain_ids() {
-            let Ok(d) = p.hv.domain(id) else { continue };
-            domains.insert(
-                id,
-                DomainInfo {
-                    id,
+        let walk = HvWalk::of(&p.hv);
+        let domains: BTreeMap<DomId, DomainInfo> = walk
+            .domains
+            .iter()
+            .map(|d| {
+                let info = DomainInfo {
+                    id: d.id,
                     name: d.name.clone(),
-                    kind: Self::kind_label(p, id, d.role),
+                    kind: Self::kind_label(p, d.id, d.role),
                     state: d.state,
                     role: d.role,
                     privileges: d.privileges.clone(),
@@ -196,23 +198,21 @@ impl ModelSnapshot {
                     delegated_shards: d.delegated_shards.clone(),
                     privileged_for: d.privileged_for.clone(),
                     constraint_group: d.constraint_group.clone(),
-                },
-            );
-        }
-        let mut grants = Vec::new();
-        for (&granter, _) in domains.iter() {
-            if let Some(table) = p.hv.grant_table(granter) {
-                for (gref, entry) in table.entries_sorted() {
-                    grants.push(GrantEdge {
-                        granter,
-                        grantee: entry.grantee,
-                        gref: gref.0,
-                        pfn: entry.pfn.0,
-                        writable: entry.access == GrantAccess::ReadWrite,
-                    });
-                }
-            }
-        }
+                };
+                (d.id, info)
+            })
+            .collect();
+        let mut grants: Vec<GrantEdge> = walk
+            .grants
+            .iter()
+            .map(|&(granter, gref, fact)| GrantEdge {
+                granter,
+                grantee: fact.grantee,
+                gref,
+                pfn: fact.pfn,
+                writable: fact.access == GrantAccess::ReadWrite,
+            })
+            .collect();
         grants.sort();
         let mut channels: Vec<(DomId, DomId)> = Vec::new();
         for &a in domains.keys() {
@@ -240,11 +240,11 @@ impl ModelSnapshot {
                     cow: true,
                 })
                 .collect();
-        let declared =
-            p.hv.declared_ops()
-                .into_iter()
-                .map(|(kind, subject, object)| (kind.to_string(), subject, object))
-                .collect();
+        let declared = walk
+            .declared
+            .into_iter()
+            .map(|(kind, subject, object)| (kind.to_string(), subject, object))
+            .collect();
         ModelSnapshot {
             domains,
             grants,

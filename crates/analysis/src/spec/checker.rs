@@ -1,12 +1,12 @@
 //! The differential refinement checker.
 //!
 //! [`SpecCore`] holds a [`SpecState`] and advances it in lockstep with
-//! the real hypervisor: the dispatch hook delivers every hypercall
+//! the real hypervisor: a gate observer delivers every hypercall
 //! (post-state, call, and result), the core applies the spec-level
 //! semantics of the op, and then *diffs* the real state against the
 //! model. Any difference outside the op's permitted footprint is a
 //! divergence — recorded sticky with the op trace that produced it,
-//! never panicking (the hook runs inside the hypervisor's no-panic
+//! never panicking (the observer runs inside the hypervisor's no-panic
 //! gate).
 //!
 //! Checked refinement obligations, in order:
@@ -40,9 +40,10 @@ use std::rc::Rc;
 
 use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::hypercall::{Hypercall, HypercallRet};
-use xoar_hypervisor::{DispatchHook, DomId, HvResult, Hypervisor};
+use xoar_hypervisor::{DomId, GateObserver, HvResult, Hypervisor};
 
 use super::model::{GrantFact, SpecState};
+use crate::capture::{frame_owners, grant_facts};
 
 /// A refinement violation: the real hypervisor did something the model
 /// does not justify.
@@ -60,7 +61,7 @@ pub struct Divergence {
     pub op_index: usize,
 }
 
-/// The checker state behind the hook.
+/// The checker state behind the observer.
 pub struct SpecCore {
     spec: SpecState,
     divergence: Option<Divergence>,
@@ -108,7 +109,7 @@ impl SpecCore {
         if self.divergence.is_some() {
             return; // sticky: keep the first divergence and its trace
         }
-        self.ops.push(format_op(caller, call, result.is_ok()));
+        self.ops.push(format_op(caller, call, result));
         let mut writes = std::mem::take(&mut self.pending_writes);
         let mut declared_footprint = false;
         self.advance(
@@ -238,18 +239,8 @@ impl SpecCore {
                     // template's grant plan; both are part of the op's
                     // declared semantics, so capture them as justified.
                     writes.insert(*c);
-                    if let Some(table) = hv.grant_table(*c) {
-                        for (gref, e) in table.entries_sorted() {
-                            self.spec.grants.insert(
-                                (*c, gref.0),
-                                GrantFact {
-                                    grantee: e.grantee,
-                                    pfn: e.pfn.0,
-                                    mfn: e.mfn.0,
-                                    access: e.access,
-                                },
-                            );
-                        }
+                    for (gref, fact) in grant_facts(hv, *c) {
+                        self.spec.grants.insert((*c, gref), fact);
                     }
                     *declared = true;
                 }
@@ -385,25 +376,7 @@ impl SpecCore {
 
     fn check_grant_tables(&mut self, hv: &Hypervisor) {
         for &granter in &self.spec.live.clone() {
-            let real: Vec<(u32, GrantFact)> = hv
-                .grant_table(granter)
-                .map(|t| {
-                    t.entries_sorted()
-                        .into_iter()
-                        .map(|(gref, e)| {
-                            (
-                                gref.0,
-                                GrantFact {
-                                    grantee: e.grantee,
-                                    pfn: e.pfn.0,
-                                    mfn: e.mfn.0,
-                                    access: e.access,
-                                },
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
+            let real = grant_facts(hv, granter);
             let modeled = self.spec.grants_by(granter);
             for &(gref, fact) in &real {
                 if modeled.iter().any(|&(g, f)| g == gref && f == fact) {
@@ -457,15 +430,7 @@ impl SpecCore {
         // the footprint is the writers plus nothing else.
         let allowed = |d: DomId, writes: &BTreeSet<DomId>| writes.contains(&d);
         if self.spec.owner_exact {
-            let mut real: std::collections::BTreeMap<u64, DomId> =
-                std::collections::BTreeMap::new();
-            for &d in &self.spec.live {
-                for (_, mfn) in hv.mem.p2m_entries(d) {
-                    if let Ok(o) = hv.mem.owner(mfn) {
-                        real.insert(mfn.0, o);
-                    }
-                }
-            }
+            let real = frame_owners(hv, &self.spec.live);
             for (&mfn, &owner) in &real {
                 match self.spec.owner.get(&mfn) {
                     None if !allowed(owner, writes) => {
@@ -597,16 +562,16 @@ impl SpecCore {
     }
 }
 
-/// The [`DispatchHook`] installed on the hypercall gate.
+/// The [`GateObserver`] attached to the hypercall gate.
 ///
 /// Thin wrapper: the state lives behind an `Rc<RefCell<_>>` shared with
 /// the driver-side [`SpecHandle`], so divergences and the op trace stay
-/// readable while the hypervisor owns the hook.
+/// readable while the hypervisor owns the observer.
 pub struct SpecChecker {
     core: Rc<RefCell<SpecCore>>,
 }
 
-impl DispatchHook for SpecChecker {
+impl GateObserver for SpecChecker {
     fn after_hypercall(
         &mut self,
         hv: &Hypervisor,
@@ -617,14 +582,6 @@ impl DispatchHook for SpecChecker {
         if let Ok(mut core) = self.core.try_borrow_mut() {
             core.step(hv, caller, call, result);
         }
-    }
-
-    fn divergence(&self) -> Option<String> {
-        self.core.try_borrow().ok().and_then(|c| {
-            c.divergence
-                .as_ref()
-                .map(|d| format!("{}: {}", d.rule, d.detail))
-        })
     }
 }
 
@@ -639,7 +596,7 @@ impl SpecHandle {
     /// checked; the returned handle reads results out.
     pub fn attach(hv: &mut Hypervisor) -> SpecHandle {
         let core = Rc::new(RefCell::new(SpecCore::new(SpecState::capture(hv))));
-        hv.set_dispatch_hook(Box::new(SpecChecker { core: core.clone() }));
+        hv.add_observer(Box::new(SpecChecker { core: core.clone() }));
         SpecHandle { core }
     }
 
@@ -696,10 +653,19 @@ impl SpecHandle {
     }
 }
 
-/// Compact one-line rendering of an op for the reproducing trace.
-fn format_op(caller: DomId, call: &Hypercall, ok: bool) -> String {
-    let status = if ok { "ok" } else { "err" };
-    format!("{caller}: {} -> {status}", call_name(call))
+/// Compact one-line rendering of an op for the reproducing trace. A
+/// multicall also lists the outcome of each entry.
+fn format_op(caller: DomId, call: &Hypercall, result: &HvResult<HypercallRet>) -> String {
+    let status = |r: &HvResult<HypercallRet>| if r.is_ok() { "ok" } else { "err" };
+    let name = match (call, result) {
+        (Hypercall::Multicall { calls }, Ok(HypercallRet::Multi(entries))) => format!(
+            "Multicall({} calls: {})",
+            calls.len(),
+            entries.iter().map(status).collect::<Vec<_>>().join(", ")
+        ),
+        _ => call_name(call),
+    };
+    format!("{caller}: {name} -> {}", status(result))
 }
 
 fn call_name(call: &Hypercall) -> String {

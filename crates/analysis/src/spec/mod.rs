@@ -7,10 +7,10 @@
 //! *while the hypervisor runs*. A tiny high-level model of machine
 //! memory ([`model::SpecState`]: per-frame owner, declared-sharing
 //! edges, privilege relation) is advanced in lockstep with the real
-//! hypervisor on every hypercall, via the dispatch hook
-//! ([`xoar_hypervisor::DispatchHook`]) the gate exposes — one untaken
-//! branch when no checker is attached, so bench and production paths
-//! are unaffected.
+//! hypervisor on every hypercall, as an observer on the gate's one
+//! observation seam ([`xoar_hypervisor::GateObserver`]) — one untaken
+//! branch when nothing is attached, so bench and production paths are
+//! unaffected.
 //!
 //! After each step the checker ([`checker::SpecCore`]) asserts the
 //! refinement relation: every real grant entry, frame-ownership change,

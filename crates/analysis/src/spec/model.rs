@@ -16,8 +16,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xoar_hypervisor::grant::GrantAccess;
 use xoar_hypervisor::{DomId, Hypervisor};
+
+pub use crate::capture::GrantFact;
+use crate::capture::{frame_owners, privilege_relation, HvWalk};
 
 /// A declared cross-region sharing edge, as recorded by the
 /// hypervisor's ledger: `(kind, subject, object)` with kind one of
@@ -29,29 +31,6 @@ pub type Edge = (&'static str, DomId, DomId);
 /// per-domain frame counts. The small-scope driver stays far below it;
 /// full platforms get the scaled check.
 pub const EXACT_OWNER_LIMIT: u64 = 16_384;
-
-/// One grant fact: the granter's table says `grantee` may reach the
-/// page at (`pfn` → `mfn`) with `access`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GrantFact {
-    /// Domain allowed to map the page.
-    pub grantee: DomId,
-    /// Granter-local frame number.
-    pub pfn: u64,
-    /// Machine frame the grant resolved to at grant time.
-    pub mfn: u64,
-    /// Permitted access mode.
-    pub access: GrantAccess,
-}
-
-impl GrantFact {
-    /// Whether `other` re-states this fact (same grantee, page, and
-    /// access). Machine frames are ignored: a CoW break may have moved
-    /// the page between revocation and an attempted resurrection.
-    pub fn same_capability(&self, other: &GrantFact) -> bool {
-        self.grantee == other.grantee && self.pfn == other.pfn && self.access == other.access
-    }
-}
 
 /// The abstract machine-memory state the hypervisor must refine.
 #[derive(Debug, Clone, Default)]
@@ -94,39 +73,24 @@ impl SpecState {
     /// retroactively justify history); from then on the checker only
     /// accepts changes its advance rules permit.
     pub fn capture(hv: &Hypervisor) -> SpecState {
-        let mut s = SpecState::default();
-        let mut total_owned = 0u64;
-        for id in hv.domain_ids() {
-            let Ok(d) = hv.domain(id) else { continue };
-            if d.state == xoar_hypervisor::DomainState::Dead {
-                continue;
-            }
-            s.live.insert(id);
-            total_owned += hv.mem.owned_frames(id);
-            if let Some(tpl) = hv.mem.template_of(id) {
-                s.clone_of.insert(id, tpl);
-            }
-        }
+        let walk = HvWalk::of(hv);
+        let (blanket, priv_for) = privilege_relation(walk.domains.iter().copied());
+        let mut s = SpecState {
+            live: walk.domains.iter().map(|d| d.id).collect(),
+            grants: walk
+                .grants
+                .into_iter()
+                .map(|(granter, gref, fact)| ((granter, gref), fact))
+                .collect(),
+            declared: walk.declared,
+            blanket,
+            priv_for,
+            clone_of: walk.clone_of,
+            ..SpecState::default()
+        };
+        let total_owned: u64 = s.live.iter().map(|&d| hv.mem.owned_frames(d)).sum();
         s.owner_exact = total_owned <= EXACT_OWNER_LIMIT;
         s.sync_owner_views(hv);
-        s.sync_privileges(hv);
-        s.declared = hv.declared_ops().into_iter().collect();
-        for &granter in &s.live {
-            let Some(table) = hv.grant_table(granter) else {
-                continue;
-            };
-            for (gref, e) in table.entries_sorted() {
-                s.grants.insert(
-                    (granter, gref.0),
-                    GrantFact {
-                        grantee: e.grantee,
-                        pfn: e.pfn.0,
-                        mfn: e.mfn.0,
-                        access: e.access,
-                    },
-                );
-            }
-        }
         s
     }
 
@@ -139,17 +103,11 @@ impl SpecState {
             .iter()
             .map(|&d| (d, hv.mem.owned_frames(d)))
             .collect();
-        self.owner.clear();
-        if !self.owner_exact {
-            return;
-        }
-        for &d in &self.live {
-            for (_, mfn) in hv.mem.p2m_entries(d) {
-                if let Ok(o) = hv.mem.owner(mfn) {
-                    self.owner.insert(mfn.0, o);
-                }
-            }
-        }
+        self.owner = if self.owner_exact {
+            frame_owners(hv, &self.live)
+        } else {
+            BTreeMap::new()
+        };
     }
 
     /// Refreshes the privilege relation (blanket / privileged-for) from
@@ -157,17 +115,8 @@ impl SpecState {
     /// visible sharing they imply is audited through the declared-edge
     /// ledger, which derives `"blanket"`/`"foreign"` edges from them.
     pub(crate) fn sync_privileges(&mut self, hv: &Hypervisor) {
-        self.blanket.clear();
-        self.priv_for.clear();
-        for &id in &self.live {
-            let Ok(d) = hv.domain(id) else { continue };
-            if d.privileges.map_foreign_any {
-                self.blanket.insert(id);
-            }
-            for &obj in &d.privileged_for {
-                self.priv_for.insert((id, obj));
-            }
-        }
+        (self.blanket, self.priv_for) =
+            privilege_relation(self.live.iter().filter_map(|&id| hv.domain(id).ok()));
     }
 
     /// Whether the model links `a` and `b` through snapshot-fork
@@ -250,6 +199,7 @@ impl SpecState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xoar_hypervisor::grant::GrantAccess;
 
     fn d(n: u32) -> DomId {
         DomId(n)

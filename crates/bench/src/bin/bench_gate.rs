@@ -1,134 +1,29 @@
 //! `bench-gate` — CI regression gate over the bench-harness JSON.
 //!
-//! Usage: `bench-gate [--set=micro|--set=ablation] <baseline.json> <fresh.json>`
+//! Usage: `bench-gate <baseline.json> <fresh.json>`
 //!
-//! Compares the fresh run's medians against the committed baseline for
-//! the hot-path entries of the selected set and fails (exit 1) if any
-//! regressed by more than the allowed factor. Entries absent from the
-//! baseline are reported and skipped, so adding a new bench does not
-//! break CI on the run that introduces it; entries absent from the
-//! fresh run fail loudly — a silently dropped bench is not a pass.
+//! Every entry of a harness JSON document carries the gate declared
+//! where its bench is registered ([`Gate`]); this binary enforces them:
 //!
-//! The microreboot fast-path entries additionally carry a *tail* rule:
-//! their fresh p95 must stay within a fixed factor of their own fresh
-//! median. A long tail on the per-request restart path means some
-//! iteration allocated or rescanned — exactly the regression the
-//! precompiled-plan work removed — and a median-only gate cannot see it.
+//! * **hot** — the fresh median may be at most [`MAX_RATIO`] times the
+//!   baseline's. An entry absent from the baseline is reported and
+//!   skipped, so adding a bench does not break CI on the run that
+//!   introduces it.
+//! * **tail** — the fresh p95 may be at most [`TAIL_RATIO`] times the
+//!   fresh median. A long tail on a restart or switch path means some
+//!   iteration allocated or rescanned, and a median-only gate cannot
+//!   see it.
+//! * **within** — the fresh sample minimum may be at most `ratio` times
+//!   another fresh entry's.
+//!
+//! An entry gated in either run must appear in the fresh run: a
+//! silently dropped bench is not a pass, and deleting a bench must not
+//! delete its gate unnoticed — the committed baseline still declares it.
 
 use std::process::ExitCode;
 
-use xoar_codec::{parse, Json};
-
-/// Entries the microbench gate enforces: the per-op and batched
-/// data-path costs the perf argument rests on, plus the microreboot
-/// fast paths.
-const MICRO_HOT_PATHS: [&str; 20] = [
-    "hypercall/sched_yield",
-    "hypercall/dispatch_spec_off",
-    "evtchn/send_poll",
-    "evtchn/cross_region_send",
-    "sched/runqueue_pick_next",
-    "sched/steal",
-    "grant/map_unmap",
-    "blk/submit_process_poll",
-    "net/transmit_process",
-    "grant/map_unmap_batch32",
-    "evtchn/send_coalesced",
-    "blk/submit_batch",
-    "snapshot/cow_snapshot",
-    "mem/page_write",
-    "mem/dedup_scale/50k",
-    "restart/per_request_logic",
-    "restart/plan_execute",
-    "fabric/flow_lookup",
-    "fabric/switch_batch32",
-    "fabric/nat_alloc",
-];
-
-/// Entries the ablation gate enforces: the Figure 5.1 per-request
-/// restart overhead and the slow/fast driver-restart paths of §6.1.2.
-const ABLATION_HOT_PATHS: [&str; 10] = [
-    "ablation/xenstore_split/request_no_restart",
-    "ablation/xenstore_split/request_with_per_request_restart",
-    "ablation/restart_paths/slow",
-    "ablation/restart_paths/fast",
-    "ablation/vcpu_scaling/rq1",
-    "ablation/vcpu_scaling/rq2",
-    "ablation/vcpu_scaling/rq4",
-    "ablation/clone/clone_from_template",
-    "ablation/clone/clone_guest_full",
-    "ablation/clone/first_write_break",
-];
-
-/// Fresh-run self-comparison rule for the micro set: `(faster, slower,
-/// ratio)` — medians must satisfy `faster <= slower * ratio` within
-/// the same run. The isolation spec's dispatch hook is
-/// zero-cost-when-off by design: with no checker attached, dispatch
-/// pays one untaken branch. The ordering holds the hooked-dispatch-path
-/// median within 5% of the plain dispatch median — if the gate ever
-/// grows real work on the disabled path, this inverts and CI fails.
-///
-/// The fabric rules encode the switch's cost model. A flow lookup is a
-/// hash probe against a 100k-connection table, so it must stay within 2x
-/// of a grant map/unmap pair — if it drifts past that, the connection
-/// table has stopped being a FastMap fast path. One `switch_batch32`
-/// iteration moves 32 frames, and its whole-batch cost must stay under
-/// 32/3 of a single-frame `net/transmit_process` — i.e. the per-frame
-/// switching cost is at most a third of the per-frame backend round
-/// trip, the O(batch) claim in numbers.
-///
-/// The memory rule pins the lazy-hash claim: a guest page write defers
-/// content hashing to the dirty-epoch queue, so it must stay within 15x
-/// of a bare page-read handle lookup — if writes ever re-grow eager
-/// hashing (a 4 KiB FNV pass is ~50x a read), this inverts and CI fails.
-const MICRO_ORDERINGS: [(&str, &str, f64); 4] = [
-    ("hypercall/dispatch_spec_off", "hypercall/sched_yield", 1.05),
-    ("fabric/flow_lookup", "grant/map_unmap", 2.0),
-    ("fabric/switch_batch32", "net/transmit_process", 32.0 / 3.0),
-    ("mem/page_write", "mem/page_read_handle", 15.0),
-];
-
-/// Fresh-run self-comparison rules for the ablation set, in the same
-/// form. Baselines drift with the host; a within-run comparison does
-/// not, so these encode claims the numbers must never invert — the
-/// parallel Xoar boot DAG regressing past the serial Dom0 chain
-/// (ratio 1: a plain ordering), or the snapshot-fork clone stamp
-/// losing its two-orders-of-magnitude advantage over a full
-/// Builder-path guest creation (ratio 1/100).
-const ABLATION_ORDERINGS: [(&str, &str, f64); 2] = [
-    (
-        "ablation/boot_plans/parallel_xoar",
-        "ablation/boot_plans/serial_dom0",
-        1.0,
-    ),
-    (
-        "ablation/clone/clone_from_template",
-        "ablation/platform_construction/guest_creation_xoar",
-        0.01,
-    ),
-];
-
-/// Entries whose p95 tail is bounded relative to their own median. The
-/// fabric paths carry the rule for the same reason the restart paths do:
-/// a per-packet allocation on the switch path (the scratch queues exist
-/// to prevent exactly that) shows up as a reallocation spike in the
-/// tail long before it moves the median. The clone paths carry it
-/// because the serverless-density argument is about the *worst* stamp
-/// in a burst, not the typical one — a one-time cost leaking back into
-/// steady state (stamp-plan rebuilds, hash materialization on the
-/// break path) appears as a tail spike first.
-const TAIL_PATHS: [&str; 10] = [
-    "restart/per_request_logic",
-    "restart/plan_execute",
-    "ablation/restart_paths/slow",
-    "ablation/restart_paths/fast",
-    "ablation/clone/clone_from_template",
-    "ablation/clone/clone_guest_full",
-    "ablation/clone/first_write_break",
-    "fabric/flow_lookup",
-    "fabric/switch_batch32",
-    "fabric/nat_alloc",
-];
+use xoar_bench::harness::BenchResult;
+use xoar_codec::{parse, FromJson};
 
 /// A fresh median above `baseline * MAX_RATIO` fails the gate. 2x keeps
 /// headroom for shared-runner noise while still catching real
@@ -143,101 +38,68 @@ const MAX_RATIO: f64 = 2.0;
 /// showed up as >2x tails.
 const TAIL_RATIO: f64 = 6.0;
 
-fn as_ns(v: &Json) -> Option<f64> {
-    match v {
-        Json::F64(x) => Some(*x),
-        Json::U64(n) => Some(*n as f64),
-        Json::I64(n) => Some(*n as f64),
-        _ => None,
-    }
-}
-
-/// One bench entry as the gate sees it.
-#[derive(Debug, PartialEq)]
-struct Entry {
-    name: String,
-    median_ns: f64,
-    /// Absent from pre-tail-rule baselines; the tail rule only reads it
-    /// from fresh runs anyway.
-    p95_ns: Option<f64>,
-    /// The sample minimum — the noise floor of a deterministic loop.
-    /// Ordering rules prefer it over the median: they compare two
-    /// near-identical code paths in the same run, where scheduler and
-    /// alignment jitter on the median dwarfs the real difference.
-    min_ns: Option<f64>,
-}
-
-/// Extracts the entries from a harness JSON document.
-fn entries(doc: &Json) -> Result<Vec<Entry>, String> {
-    let results = doc
-        .get("results")
-        .and_then(Json::as_arr)
-        .ok_or("missing results array")?;
-    let mut out = Vec::with_capacity(results.len());
-    for entry in results {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("entry without name")?;
-        let median_ns = entry
-            .get("median_ns")
-            .and_then(as_ns)
-            .ok_or_else(|| format!("entry {name} without median_ns"))?;
-        let p95_ns = entry.get("p95_ns").and_then(as_ns);
-        let min_ns = entry.get("min_ns").and_then(as_ns);
-        out.push(Entry {
-            name: name.to_string(),
-            median_ns,
-            p95_ns,
-            min_ns,
-        });
-    }
-    Ok(out)
-}
-
-fn load(path: &str) -> Result<Vec<Entry>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    // The harness prints the JSON document as the last stdout line; accept
-    // either a bare document or a captured multi-line log.
+/// Decodes a harness JSON document: the [`BenchResult`] records the
+/// harness writes, gates included. The harness prints the document as
+/// the last stdout line; accept either a bare document or a captured
+/// multi-line log.
+fn entries(text: &str) -> Result<Vec<BenchResult>, String> {
     let line = text
         .lines()
         .rev()
         .find(|l| !l.trim().is_empty())
-        .ok_or_else(|| format!("{path} is empty"))?;
-    let doc = parse(line).map_err(|e| format!("parse {path}: {e}"))?;
-    entries(&doc)
+        .ok_or("empty document")?;
+    let doc = parse(line).map_err(|e| format!("parse: {e}"))?;
+    let results = doc.get("results").ok_or("missing results array")?;
+    Vec::<BenchResult>::from_json(results).map_err(|e| e.to_string())
 }
 
-fn find<'a>(set: &'a [Entry], name: &str) -> Option<&'a Entry> {
+fn load(path: &str) -> Result<Vec<BenchResult>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    entries(&text).map_err(|e| format!("{path}: {e}"))
+}
+
+fn find<'a>(set: &'a [BenchResult], name: &str) -> Option<&'a BenchResult> {
     set.iter().find(|e| e.name == name)
 }
 
-/// Applies the median-regression and tail rules; returns whether any
-/// hot-path entry failed.
-fn gate(hot_paths: &[&str], baseline: &[Entry], fresh: &[Entry]) -> bool {
+/// `a / b`, infinite when `b` is not positive.
+fn ratio(a: f64, b: f64) -> f64 {
+    if b > 0.0 {
+        a / b
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// Applies the median-regression and tail rules to every entry gated in
+/// either run; returns whether any failed.
+fn gate(baseline: &[BenchResult], fresh: &[BenchResult]) -> bool {
     let mut failed = false;
-    for &name in hot_paths {
-        let Some(new) = find(fresh, name) else {
-            eprintln!("bench-gate: FAIL {name}: missing from fresh run");
-            failed = true;
-            continue;
-        };
-        if TAIL_PATHS.contains(&name) {
-            if let Some(p95) = new.p95_ns {
-                let tail = if new.median_ns > 0.0 {
-                    p95 / new.median_ns
-                } else {
-                    f64::INFINITY
-                };
-                if tail > TAIL_RATIO {
-                    eprintln!(
-                        "bench-gate: FAIL {name}: p95 {p95:.1} ns is {tail:.2}x its \
-                         median {:.1} ns (> {TAIL_RATIO}x tail bound)",
-                        new.median_ns
-                    );
-                    failed = true;
-                }
+    let dropped = baseline
+        .iter()
+        .filter(|e| e.gate.is_gated() && find(fresh, &e.name).is_none());
+    for old in dropped {
+        eprintln!(
+            "bench-gate: FAIL {}: gated in the baseline, missing from fresh run",
+            old.name
+        );
+        failed = true;
+    }
+    for new in fresh {
+        let name = &new.name;
+        if new.gate.tail {
+            let (p95, tail) = (new.p95_ns, ratio(new.p95_ns, new.median_ns));
+            if tail > TAIL_RATIO {
+                eprintln!(
+                    "bench-gate: FAIL {name}: p95 {p95:.1} ns is {tail:.2}x its \
+                     median {:.1} ns (> {TAIL_RATIO}x tail bound)",
+                    new.median_ns
+                );
+                failed = true;
             }
+        }
+        if !new.gate.hot {
+            continue;
         }
         let Some(old) = find(baseline, name) else {
             println!(
@@ -246,11 +108,7 @@ fn gate(hot_paths: &[&str], baseline: &[Entry], fresh: &[Entry]) -> bool {
             );
             continue;
         };
-        let ratio = if old.median_ns > 0.0 {
-            new.median_ns / old.median_ns
-        } else {
-            f64::INFINITY
-        };
+        let ratio = ratio(new.median_ns, old.median_ns);
         if ratio > MAX_RATIO {
             eprintln!(
                 "bench-gate: FAIL {name}: {:.1} ns -> {:.1} ns ({ratio:.2}x > {MAX_RATIO}x)",
@@ -268,10 +126,14 @@ fn gate(hot_paths: &[&str], baseline: &[Entry], fresh: &[Entry]) -> bool {
 }
 
 /// Applies the within-run ordering rules; returns whether any failed.
-fn orderings(rules: &[(&str, &str, f64)], fresh: &[Entry]) -> bool {
+fn orderings(fresh: &[BenchResult]) -> bool {
     let mut failed = false;
-    for &(faster, slower, ratio) in rules {
-        let (Some(a), Some(b)) = (find(fresh, faster), find(fresh, slower)) else {
+    let rules = fresh
+        .iter()
+        .flat_map(|a| a.gate.within.iter().map(move |w| (a, w)));
+    for (a, w) in rules {
+        let (faster, slower, ratio) = (&a.name, &w.slower, w.ratio);
+        let Some(b) = find(fresh, slower) else {
             eprintln!(
                 "bench-gate: FAIL ordering {faster} <= {ratio} * {slower}: \
                  entry missing from fresh run"
@@ -279,14 +141,11 @@ fn orderings(rules: &[(&str, &str, f64)], fresh: &[Entry]) -> bool {
             failed = true;
             continue;
         };
-        // Compare sample minima when the run carries them: orderings
-        // pit near-identical loops against each other in the same run,
-        // and the minimum strips the scheduler/alignment jitter that
-        // makes a tight median-vs-median bound flaky.
-        let (a_ns, b_ns) = (
-            a.min_ns.unwrap_or(a.median_ns),
-            b.min_ns.unwrap_or(b.median_ns),
-        );
+        // Compare sample minima, the noise floor of a deterministic
+        // loop: orderings pit near-identical loops against each other in
+        // the same run, and the minimum strips the scheduler/alignment
+        // jitter that makes a tight median-vs-median bound flaky.
+        let (a_ns, b_ns) = (a.min_ns, b.min_ns);
         let bound = b_ns * ratio;
         if a_ns <= bound {
             println!(
@@ -304,21 +163,9 @@ fn orderings(rules: &[(&str, &str, f64)], fresh: &[Entry]) -> bool {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let (hot_paths, order_rules, baseline_path, fresh_path): (
-        &[&str],
-        &[(&str, &str, f64)],
-        &str,
-        &str,
-    ) = match &args[1..] {
-        [b, f] => (&MICRO_HOT_PATHS, &MICRO_ORDERINGS, b, f),
-        [set, b, f] if set == "--set=micro" => (&MICRO_HOT_PATHS, &MICRO_ORDERINGS, b, f),
-        [set, b, f] if set == "--set=ablation" => (&ABLATION_HOT_PATHS, &ABLATION_ORDERINGS, b, f),
-        _ => {
-            eprintln!(
-                "usage: bench-gate [--set=micro|--set=ablation] <baseline.json> <fresh.json>"
-            );
-            return ExitCode::from(2);
-        }
+    let [_, baseline_path, fresh_path] = &args[..] else {
+        eprintln!("usage: bench-gate <baseline.json> <fresh.json>");
+        return ExitCode::from(2);
     };
     let (baseline, fresh) = match (load(baseline_path), load(fresh_path)) {
         (Ok(b), Ok(f)) => (b, f),
@@ -327,8 +174,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let gate_failed = gate(hot_paths, &baseline, &fresh);
-    let order_failed = orderings(order_rules, &fresh);
+    let gate_failed = gate(&baseline, &fresh);
+    let order_failed = orderings(&fresh);
     if gate_failed || order_failed {
         ExitCode::FAILURE
     } else {
@@ -340,77 +187,75 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xoar_bench::harness::{Gate, Harness};
 
-    fn doc(entries: &[(&str, f64)]) -> Json {
-        Json::Obj(vec![(
-            "results".to_string(),
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|&(n, m)| {
-                        Json::Obj(vec![
-                            ("name".to_string(), Json::Str(n.to_string())),
-                            ("median_ns".to_string(), Json::F64(m)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-
-    fn entry(name: &str, median_ns: f64, p95_ns: f64) -> Entry {
-        Entry {
+    /// An entry whose sample minimum equals its median.
+    fn entry(name: &str, median_ns: f64, p95_ns: f64) -> BenchResult {
+        BenchResult {
             name: name.to_string(),
+            iterations: 1,
+            samples: 1,
             median_ns,
-            p95_ns: Some(p95_ns),
-            min_ns: None,
+            p95_ns,
+            mean_ns: median_ns,
+            min_ns: median_ns,
+            max_ns: p95_ns,
+            gate: Gate::default(),
         }
     }
 
+    /// `e` with the gate `declare` builds, as a bench registration would.
+    fn gated(mut e: BenchResult, declare: impl FnOnce(&mut Gate) -> &mut Gate) -> BenchResult {
+        declare(&mut e.gate);
+        e
+    }
+
     #[test]
-    fn entries_extracts_names_and_values() {
-        let d = doc(&[("a/b", 10.5), ("c/d", 2.0)]);
-        let m = entries(&d).unwrap();
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[0].name, "a/b");
-        assert_eq!(m[0].median_ns, 10.5);
-        assert_eq!(m[0].p95_ns, None, "p95 optional for old baselines");
+    fn entries_reads_declared_gates_from_harness_json() {
+        let mut h = Harness::new();
+        let mut g = h.group("g");
+        g.sample_size(1);
+        g.bench_function("a", || {})
+            .hot()
+            .tail()
+            .at_most(1.05, "g/b");
+        g.bench_function("b", || {});
+        // A captured log whose last line is the document decodes too.
+        let log = format!("bench  a ...\n{}\n\n", h.to_json());
+        let m = entries(&log).unwrap();
+        assert_eq!(m[0].name, "g/a");
+        assert_eq!(m[0].median_ns, h.results()[0].median_ns);
+        assert_eq!(m[0].gate, h.results()[0].gate);
+        assert!(m[0].gate.hot && m[0].gate.tail);
+        assert_eq!(m[0].gate.within[0].ratio, 1.05);
+        assert!(!m[1].gate.is_gated());
     }
 
     #[test]
     fn entries_rejects_malformed() {
-        assert!(entries(&Json::Null).is_err());
-        let no_median = Json::Obj(vec![(
-            "results".to_string(),
-            Json::Arr(vec![Json::Obj(vec![(
-                "name".to_string(),
-                Json::Str("x".to_string()),
-            )])]),
-        )]);
-        assert!(entries(&no_median).is_err());
+        assert!(entries("").is_err());
+        assert!(entries("null").is_err());
+        assert!(entries(r#"{"results":[{"name":"x"}]}"#).is_err());
     }
 
     #[test]
-    fn integer_medians_accepted() {
-        let d = Json::Obj(vec![(
-            "results".to_string(),
-            Json::Arr(vec![Json::Obj(vec![
-                ("name".to_string(), Json::Str("x".to_string())),
-                ("median_ns".to_string(), Json::U64(40758716)),
-            ])]),
-        )]);
-        let m = entries(&d).unwrap();
+    fn integer_medians_and_absent_gates_accepted() {
+        let doc = r#"{"results":[{"name":"x","iterations":1,"samples":1,"median_ns":40758716,"p95_ns":1,"mean_ns":1,"min_ns":1,"max_ns":1}]}"#;
+        let m = entries(doc).unwrap();
         assert_eq!(m[0].median_ns, 40758716.0);
+        assert!(!m[0].gate.is_gated(), "ungated when no gate is declared");
     }
 
     #[test]
     fn median_regression_fails_gate() {
         let name = "ablation/restart_paths/fast";
         let baseline = vec![entry(name, 100.0, 120.0)];
-        let ok = vec![entry(name, 150.0, 200.0)];
-        let bad = vec![entry(name, 250.0, 300.0)];
-        assert!(!gate(&[name], &baseline, &ok));
-        assert!(gate(&[name], &baseline, &bad));
+        let ok = vec![gated(entry(name, 150.0, 200.0), |g| g.hot().tail())];
+        let bad = vec![gated(entry(name, 250.0, 300.0), |g| g.hot().tail())];
+        assert!(!gate(&baseline, &ok));
+        assert!(gate(&baseline, &bad));
+        // The same regression on an ungated entry passes.
+        assert!(!gate(&baseline, &[entry(name, 250.0, 300.0)]));
     }
 
     #[test]
@@ -419,101 +264,94 @@ mod tests {
         let baseline = vec![entry(name, 100.0, 120.0)];
         // Median improved, but p95 is 10x the median: the per-iteration
         // spike the tail rule exists to catch.
-        let spiky = vec![entry(name, 90.0, 900.0)];
-        assert!(gate(&[name], &baseline, &spiky));
+        let spiky = vec![gated(entry(name, 90.0, 900.0), |g| g.hot().tail())];
+        assert!(gate(&baseline, &spiky));
     }
 
     #[test]
-    fn tail_rule_ignores_non_restart_entries() {
+    fn tail_rule_ignores_entries_without_a_tail_gate() {
         let name = "hypercall/sched_yield";
         let baseline = vec![entry(name, 100.0, 120.0)];
-        let spiky = vec![entry(name, 90.0, 900.0)];
-        assert!(!gate(&[name], &baseline, &spiky));
+        let spiky = vec![gated(entry(name, 90.0, 900.0), Gate::hot)];
+        assert!(!gate(&baseline, &spiky));
     }
 
     #[test]
-    fn ordering_rule_compares_minima_when_present() {
-        let (fast, slow, ratio) = MICRO_ORDERINGS[0];
-        assert_eq!(ratio, 1.05);
-        let rules = &MICRO_ORDERINGS[..1];
+    fn ordering_rule_compares_minima() {
+        let (fast, slow) = ("hypercall/dispatch_spec_off", "hypercall/sched_yield");
         // Medians alone would fail (21.3 > 1.05 * 20.1) — exactly the
         // jitter observed on identical dispatch loops — but the minima
         // agree, so the ordering holds.
-        let jittery = vec![
-            Entry {
-                name: fast.to_string(),
-                median_ns: 21.3,
-                p95_ns: None,
-                min_ns: Some(19.0),
-            },
-            Entry {
-                name: slow.to_string(),
-                median_ns: 20.1,
-                p95_ns: None,
-                min_ns: Some(19.0),
-            },
-        ];
-        assert!(!orderings(rules, &jittery));
+        let mut fast_entry = gated(entry(fast, 21.3, 30.0), |g| g.at_most(1.05, slow));
+        fast_entry.min_ns = 19.0;
+        let mut slow_entry = entry(slow, 20.1, 30.0);
+        slow_entry.min_ns = 19.0;
+        let jittery = vec![fast_entry, slow_entry];
+        assert!(!orderings(&jittery));
         // A real regression shows up in the minimum too.
         let mut regressed = jittery;
-        regressed[0].min_ns = Some(25.0);
-        assert!(orderings(rules, &regressed));
+        regressed[0].min_ns = 25.0;
+        assert!(orderings(&regressed));
     }
 
     #[test]
     fn ordering_rule_catches_inversion() {
-        let (fast, slow, _) = ABLATION_ORDERINGS[0];
-        let rules = &ABLATION_ORDERINGS[..1];
-        let good = vec![entry(fast, 900.0, 1000.0), entry(slow, 1300.0, 1400.0)];
-        let inverted = vec![entry(fast, 1300.0, 1400.0), entry(slow, 900.0, 1000.0)];
-        assert!(!orderings(rules, &good));
-        assert!(orderings(rules, &inverted));
+        let (fast, slow) = (
+            "ablation/boot_plans/parallel_xoar",
+            "ablation/boot_plans/serial_dom0",
+        );
+        let good = vec![
+            gated(entry(fast, 900.0, 1000.0), |g| g.at_most(1.0, slow)),
+            entry(slow, 1300.0, 1400.0),
+        ];
+        let inverted = vec![
+            gated(entry(fast, 1300.0, 1400.0), |g| g.at_most(1.0, slow)),
+            entry(slow, 900.0, 1000.0),
+        ];
+        assert!(!orderings(&good));
+        assert!(orderings(&inverted));
     }
 
     #[test]
     fn scaled_ordering_rule_enforces_the_clone_speedup() {
-        let (clone, create, ratio) = ABLATION_ORDERINGS[1];
-        assert_eq!(ratio, 0.01);
-        let rules = &ABLATION_ORDERINGS[1..];
+        let (clone, create) = (
+            "ablation/clone/clone_from_template",
+            "ablation/platform_construction/guest_creation_xoar",
+        );
         // 1.5 µs clone vs 220 µs create: two orders of magnitude, ok.
-        let good = vec![entry(clone, 1500.0, 3000.0), entry(create, 220_000.0, 1.0)];
+        let good = vec![
+            gated(entry(clone, 1500.0, 3000.0), |g| g.at_most(0.01, create)),
+            entry(create, 220_000.0, 1.0),
+        ];
         // 3 µs clone vs 220 µs create: only 73x — the fast path decayed.
-        let decayed = vec![entry(clone, 3000.0, 6000.0), entry(create, 220_000.0, 1.0)];
-        assert!(!orderings(rules, &good));
-        assert!(orderings(rules, &decayed));
+        let decayed = vec![
+            gated(entry(clone, 3000.0, 6000.0), |g| g.at_most(0.01, create)),
+            entry(create, 220_000.0, 1.0),
+        ];
+        assert!(!orderings(&good));
+        assert!(orderings(&decayed));
     }
 
     #[test]
     fn fabric_ordering_rules_enforce_the_switch_cost_model() {
-        let (lookup, grant, r1) = MICRO_ORDERINGS[1];
-        assert_eq!(r1, 2.0);
-        let (batch, single, r2) = MICRO_ORDERINGS[2];
-        assert!((r2 - 32.0 / 3.0).abs() < 1e-12);
-        let rules = &MICRO_ORDERINGS[1..3];
-        let good = vec![
-            entry(lookup, 20.0, 30.0),
-            entry(grant, 70.0, 80.0),
-            entry(batch, 900.0, 1000.0),
-            entry(single, 120.0, 130.0),
-        ];
-        assert!(!orderings(rules, &good));
+        let (lookup, grant) = ("fabric/flow_lookup", "grant/map_unmap");
+        let (batch, single) = ("fabric/switch_batch32", "net/transmit_process");
+        let run = |lookup_ns: f64, batch_ns: f64| {
+            vec![
+                gated(entry(lookup, lookup_ns, 30.0), |g| g.at_most(2.0, grant)),
+                entry(grant, 70.0, 80.0),
+                gated(entry(batch, batch_ns, 1000.0), |g| {
+                    g.at_most(32.0 / 3.0, single)
+                }),
+                entry(single, 120.0, 130.0),
+            ]
+        };
+        assert!(!orderings(&run(20.0, 900.0)));
         // The lookup drifting past 2x a grant pair fails the gate.
-        let slow_lookup = vec![
-            entry(lookup, 150.0, 160.0),
-            entry(grant, 70.0, 80.0),
-            entry(batch, 900.0, 1000.0),
-            entry(single, 120.0, 130.0),
-        ];
-        assert!(orderings(rules, &slow_lookup));
+        assert!(orderings(&run(150.0, 900.0)));
         // Per-frame switching above 1/3 of a backend round trip fails:
         // 32 frames at 1600 ns total is 50 ns/frame > 120/3.
-        let slow_switch = vec![
-            entry(lookup, 20.0, 30.0),
-            entry(grant, 70.0, 80.0),
-            entry(batch, 1600.0, 1700.0),
-            entry(single, 120.0, 130.0),
-        ];
-        assert!(orderings(rules, &slow_switch));
+        assert!(orderings(&run(20.0, 1600.0)));
     }
 
     #[test]
@@ -523,38 +361,71 @@ mod tests {
         // sample blows the p95 far past the median without moving it.
         let name = "ablation/clone/clone_from_template";
         let baseline = vec![entry(name, 1900.0, 2400.0)];
-        let spiky = vec![entry(name, 1900.0, 13_000.0)];
-        let tight = vec![entry(name, 1900.0, 5_800.0)];
-        assert!(gate(&[name], &baseline, &spiky));
-        assert!(!gate(&[name], &baseline, &tight));
+        let spiky = vec![gated(entry(name, 1900.0, 13_000.0), |g| g.hot().tail())];
+        let tight = vec![gated(entry(name, 1900.0, 5_800.0), |g| g.hot().tail())];
+        assert!(gate(&baseline, &spiky));
+        assert!(!gate(&baseline, &tight));
     }
 
     #[test]
     fn page_write_ordering_enforces_lazy_hashing() {
-        let (write, read, ratio) = MICRO_ORDERINGS[3];
-        assert_eq!(ratio, 15.0);
-        let rules = &MICRO_ORDERINGS[3..];
+        let (write, read) = ("mem/page_write", "mem/page_read_handle");
         // Lazy write: ~3x a read-handle lookup — well inside the bound.
-        let lazy = vec![entry(write, 50.0, 80.0), entry(read, 16.0, 20.0)];
+        let lazy = vec![
+            gated(entry(write, 50.0, 80.0), |g| g.at_most(15.0, read)),
+            entry(read, 16.0, 20.0),
+        ];
         // Eager hashing regrown: ~54x a read fails the ordering.
-        let eager = vec![entry(write, 865.0, 1000.0), entry(read, 16.0, 20.0)];
-        assert!(!orderings(rules, &lazy));
-        assert!(orderings(rules, &eager));
+        let eager = vec![
+            gated(entry(write, 865.0, 1000.0), |g| g.at_most(15.0, read)),
+            entry(read, 16.0, 20.0),
+        ];
+        assert!(!orderings(&lazy));
+        assert!(orderings(&eager));
     }
 
     #[test]
     fn ordering_rule_fails_on_missing_entries() {
-        let (fast, _, _) = ABLATION_ORDERINGS[0];
-        assert!(orderings(&ABLATION_ORDERINGS, &[entry(fast, 1.0, 2.0)]));
-        assert!(orderings(&ABLATION_ORDERINGS, &[]));
+        let (fast, slow) = (
+            "ablation/boot_plans/parallel_xoar",
+            "ablation/boot_plans/serial_dom0",
+        );
+        // The compared-against entry vanished from the run.
+        assert!(orderings(&[
+            gated(entry(fast, 1.0, 2.0), |g| g.at_most(1.0, slow))
+        ]));
+        // The ordered entry itself vanished: its gate lives on in the
+        // baseline, so the baseline comparison fails.
+        let baseline = vec![gated(entry(fast, 1.0, 2.0), |g| g.at_most(1.0, slow))];
+        assert!(gate(&baseline, &[entry(slow, 1.0, 2.0)]));
     }
 
     #[test]
     fn missing_fresh_entry_fails_new_baseline_entry_skips() {
         let name = "restart/plan_execute";
         // Not yet in the baseline: skip (first run introducing it).
-        assert!(!gate(&[name], &[], &[entry(name, 50.0, 60.0)]));
-        // Dropped from the fresh run: fail.
-        assert!(gate(&[name], &[entry(name, 50.0, 60.0)], &[]));
+        assert!(!gate(
+            &[],
+            &[gated(entry(name, 50.0, 60.0), |g| g.hot().tail())]
+        ));
+        // Gated in the baseline, dropped from the fresh run: fail.
+        assert!(gate(
+            &[gated(entry(name, 50.0, 60.0), |g| g.hot().tail())],
+            &[]
+        ));
+        // An ungated baseline entry may disappear.
+        assert!(!gate(&[entry(name, 50.0, 60.0)], &[]));
+    }
+
+    #[test]
+    fn baseline_gated_entry_missing_from_fresh_fails_even_if_fresh_declares_nothing() {
+        // A deleted bench takes its declaration with it, so the fresh
+        // run alone cannot notice; the baseline still names the gate.
+        let baseline = vec![
+            gated(entry("mem/page_write", 50.0, 60.0), Gate::hot),
+            entry("mem/page_read_handle", 16.0, 20.0),
+        ];
+        let fresh = vec![entry("mem/page_read_handle", 16.0, 20.0)];
+        assert!(gate(&baseline, &fresh));
     }
 }

@@ -53,14 +53,12 @@ impl DeploymentScenario {
                 keep_pciback: false,
                 toolstacks: 1,
                 restart_interval_s: Some(10),
-                trace_hypercalls: false,
             },
             DeploymentScenario::PrivateCloud { users } => XoarConfig {
                 with_console: true,
                 keep_pciback: true,
                 toolstacks: users.max(1),
                 restart_interval_s: None,
-                trace_hypercalls: false,
             },
         }
     }

@@ -9,7 +9,6 @@ pub mod audit;
 pub mod boot;
 pub mod builder;
 pub mod deployment;
-pub mod ha;
 pub mod hypersplit;
 pub mod migration;
 pub mod platform;
@@ -21,7 +20,6 @@ pub use audit::{AuditEvent, AuditLog};
 pub use boot::{BootPlan, BootTimes};
 pub use builder::{BuildRequest, Builder, KernelSpec};
 pub use deployment::{Deployment, DeploymentScenario};
-pub use ha::HaSession;
 pub use migration::{migrate, MigrationConfig, MigrationReport};
 pub use platform::{GuestConfig, Platform, PlatformMode, XoarConfig};
 pub use restart::{RestartEngine, RestartPath, RestartPolicy};

@@ -382,11 +382,6 @@ impl Fabric {
         self.nat.in_use()
     }
 
-    /// Direct access to the NAT allocator (tests, benches).
-    pub fn nat_mut(&mut self) -> &mut NatAlloc {
-        &mut self.nat
-    }
-
     // ================= switching =================
 
     /// Terminates a frame into the switch from `src` (a guest port; a

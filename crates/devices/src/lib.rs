@@ -18,8 +18,7 @@
 //! * [`pci`] — the PCI bus, configuration space, and PCIBack multiplexer
 //!   with its steady-state sealing;
 //! * [`emu`] — the QEMU device model for HVM guests, hosted either in
-//!   Dom0 (stock Xen) or a per-guest stub domain (Xoar);
-//! * [`sriov`] — SR-IOV virtual functions and the §5.3 sharing analysis.
+//!   Dom0 (stock Xen) or a per-guest stub domain (Xoar).
 
 #![warn(missing_docs)]
 
@@ -31,7 +30,6 @@ pub mod hw;
 pub mod net;
 pub mod pci;
 pub mod ring;
-pub mod sriov;
 pub mod xenbus;
 
 pub use blk::{BlkBack, BlkFront, BlkRingHub};
@@ -42,5 +40,4 @@ pub use hw::{DiskModel, NicModel};
 pub use net::{NetBack, NetFront, NetRingHub, WireEndpoint};
 pub use pci::{PciBack, PciBus};
 pub use ring::{Ring, RingHub, RingId};
-pub use sriov::SrIovNic;
 pub use xenbus::{Connection, DeviceKind, XenbusState};

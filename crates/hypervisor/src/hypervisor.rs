@@ -44,43 +44,35 @@ pub type DeclaredOps = BTreeSet<(&'static str, DomId, DomId)>;
 
 /// An observer attached to the hypercall gate.
 ///
-/// This is the seam the executable isolation spec hangs off: a hook
-/// sees every *permitted* hypercall immediately after dispatch, with
-/// the call as issued and the result it produced, and may read (never
-/// mutate) the hypervisor to compare real state against its own model.
-/// Whitelist denials never reach the hook — a denied call changes no
-/// state, so there is nothing to keep in lockstep.
+/// The gate's one observation seam: the over-privilege recorder and the
+/// executable isolation spec both hang off it. An observer sees every
+/// call the gate screens ([`GateObserver::screened`]) — direct calls,
+/// whitelist denials and each multicall sub-call — and, for every
+/// permitted top-level call, the post-state the call left behind
+/// ([`GateObserver::after_hypercall`]). Observers may read, never
+/// mutate, the hypervisor.
 ///
-/// A hook must not panic: the gate is TCB code and the no-panic lint
-/// covers the call path. Divergence is recorded and surfaced through
-/// [`DispatchHook::divergence`]; the driver (a test, the analyzer's
-/// small-scope enumerator) asserts on it outside the gate.
-pub trait DispatchHook {
-    /// Observes one completed hypercall. Runs after the operation's
-    /// state changes have committed, so `hv` shows the post-state.
+/// An observer must not panic: the gate is TCB code and the no-panic
+/// lint covers the call path. A checker records what it finds and the
+/// driver (a test, the analyzer's small-scope enumerator) asserts on it
+/// outside the gate.
+pub trait GateObserver {
+    /// One screened call. `allowed` is whether it passed the whitelist
+    /// and completed without error. A multicall's sub-calls are
+    /// screened before the multicall itself.
+    fn screened(&mut self, _caller: DomId, _id: HypercallId, _allowed: bool) {}
+
+    /// One permitted hypercall, after its state changes committed, so
+    /// `hv` shows the post-state. Whitelist denials never get here — a
+    /// denied call changes no state.
     fn after_hypercall(
         &mut self,
-        hv: &Hypervisor,
-        caller: DomId,
-        call: &Hypercall,
-        result: &HvResult<HypercallRet>,
-    );
-
-    /// The first divergence this hook has observed, if any.
-    fn divergence(&self) -> Option<String>;
-}
-
-/// A record of one hypercall, for the audit log (§3.2.2).
-#[derive(Debug, Clone)]
-pub struct HypercallTrace {
-    /// Simulated time of the call.
-    pub at_ns: u64,
-    /// Issuing domain.
-    pub caller: DomId,
-    /// Hypercall class.
-    pub id: HypercallId,
-    /// Whether it was permitted.
-    pub allowed: bool,
+        _hv: &Hypervisor,
+        _caller: DomId,
+        _call: &Hypercall,
+        _result: &HvResult<HypercallRet>,
+    ) {
+    }
 }
 
 /// Host hardware description.
@@ -126,12 +118,10 @@ pub struct Hypervisor {
     /// first clone of each sealed template and replayed thereafter.
     stamp_plans: FastMap<DomId, xregion::StampPlan>,
     snapshots: SnapshotManager,
-    /// Lockstep spec-checker hook, if attached. `None` on every bench
-    /// and production path: the gate pays one branch for the check.
-    hook: Option<Box<dyn DispatchHook>>,
+    /// Gate observers (see [`GateObserver`]). Empty on every bench and
+    /// production path: the gate pays one branch for the check.
+    observers: Vec<Box<dyn GateObserver>>,
     now_ns: u64,
-    tracing: bool,
-    trace: Vec<HypercallTrace>,
     /// If set, a Dom0 crash reboots the whole host (stock Xen behaviour,
     /// §5.8); Xoar clears it so Bootstrapper may exit after boot.
     pub dom0_failure_is_fatal: bool,
@@ -152,10 +142,8 @@ impl Hypervisor {
             declared: FastSet::default(),
             stamp_plans: FastMap::default(),
             snapshots: SnapshotManager::new(),
-            hook: None,
+            observers: Vec::new(),
             now_ns: 0,
-            tracing: false,
-            trace: Vec::new(),
             dom0_failure_is_fatal: true,
             host_reboots: 0,
         }
@@ -379,29 +367,6 @@ impl Hypervisor {
         self.config
     }
 
-    // ----- tracing -----
-
-    /// Enables or disables hypercall tracing.
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Drains the accumulated trace records.
-    pub fn take_trace(&mut self) -> Vec<HypercallTrace> {
-        std::mem::take(&mut self.trace)
-    }
-
-    fn record(&mut self, caller: DomId, id: HypercallId, allowed: bool) {
-        if self.tracing {
-            self.trace.push(HypercallTrace {
-                at_ns: self.now_ns,
-                caller,
-                id,
-                allowed,
-            });
-        }
-    }
-
     // ----- access-control helpers -----
 
     fn check_whitelist(&self, caller: DomId, id: HypercallId) -> HvResult<()> {
@@ -480,51 +445,52 @@ impl Hypervisor {
     /// This is the single trap gate of the platform: whitelist check
     /// first, then per-argument access control, then the operation.
     pub fn hypercall(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
-        let id = call.id();
-        if let Err(e) = self.check_whitelist(caller, id) {
-            self.record(caller, id, false);
-            return Err(e);
-        }
-        if self.hook.is_some() {
+        if !self.observers.is_empty() {
             return self.hypercall_observed(caller, call);
         }
-        let result = self.dispatch(caller, call);
-        self.record(caller, id, result.is_ok());
-        result
+        self.check_whitelist(caller, call.id())?;
+        self.dispatch(caller, call)
     }
 
-    /// The observed slow path of the gate: clone the call (the hook
-    /// needs it after dispatch consumes it), dispatch, then let the
-    /// detached hook read the post-state. Outlined so the common
-    /// hook-less dispatch pays exactly one predicted-not-taken branch.
+    /// The observed slow path of the gate: the same screen and dispatch,
+    /// reported to every observer. Outlined so the common unobserved
+    /// dispatch pays exactly one predicted-not-taken branch.
     #[inline(never)]
     fn hypercall_observed(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
         let id = call.id();
+        if let Err(e) = self.check_whitelist(caller, id) {
+            self.screened(caller, id, false);
+            return Err(e);
+        }
+        // Observers need the call after dispatch consumes it.
         let observed = call.clone();
         let result = self.dispatch(caller, call);
-        self.record(caller, id, result.is_ok());
-        // Take/put-back: the hook borrows `self` immutably while it is
-        // not reachable through `self`, so no aliasing.
-        if let Some(mut hook) = self.hook.take() {
-            hook.after_hypercall(self, caller, &observed, &result);
-            self.hook = Some(hook);
+        self.screened(caller, id, result.is_ok());
+        // Take/put-back: observers borrow `self` immutably while they
+        // are not reachable through `self`, so no aliasing.
+        let mut observers = std::mem::take(&mut self.observers);
+        for o in &mut observers {
+            o.after_hypercall(self, caller, &observed, &result);
         }
+        self.observers = observers;
         result
     }
 
-    /// Attaches a lockstep dispatch hook (replacing any previous one).
-    pub fn set_dispatch_hook(&mut self, hook: Box<dyn DispatchHook>) {
-        self.hook = Some(hook);
+    fn screened(&mut self, caller: DomId, id: HypercallId, allowed: bool) {
+        for o in &mut self.observers {
+            o.screened(caller, id, allowed);
+        }
     }
 
-    /// Detaches and returns the dispatch hook, if one is attached.
-    pub fn take_dispatch_hook(&mut self) -> Option<Box<dyn DispatchHook>> {
-        self.hook.take()
+    /// Attaches a gate observer. It sees every call screened from now
+    /// on, after the observers attached before it.
+    pub fn add_observer(&mut self, observer: Box<dyn GateObserver>) {
+        self.observers.push(observer);
     }
 
-    /// Read-only view of the attached dispatch hook.
-    pub fn dispatch_hook(&self) -> Option<&dyn DispatchHook> {
-        self.hook.as_deref()
+    /// Whether any gate observer is attached.
+    pub fn has_observers(&self) -> bool {
+        !self.observers.is_empty()
     }
 
     fn dispatch(&mut self, caller: DomId, call: Hypercall) -> HvResult<HypercallRet> {
@@ -908,18 +874,17 @@ impl Hypervisor {
             }
             // Per-entry whitelist screen: a multicall must not
             // smuggle a call the caller could not issue directly.
-            // Denials are recorded in the trace like direct calls
-            // so the over-privilege audit sees them.
-            if sub_id.is_privileged() && !permitted.contains(sub_id) {
-                self.record(caller, sub_id, false);
-                results.push(Err(HvError::PermissionDenied {
+            // Denials are screened like direct calls so the
+            // over-privilege audit sees them.
+            let r = if sub_id.is_privileged() && !permitted.contains(sub_id) {
+                Err(HvError::PermissionDenied {
                     caller,
                     privilege: format!("hypercall {}", sub_id.name()),
-                }));
-                continue;
-            }
-            let r = self.dispatch(caller, sub);
-            self.record(caller, sub_id, r.is_ok());
+                })
+            } else {
+                self.dispatch(caller, sub)
+            };
+            self.screened(caller, sub_id, r.is_ok());
             results.push(r);
         }
         Ok(HypercallRet::Multi(results))
@@ -1466,18 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_records_denied_calls() {
-        let (mut hv, dom0) = xen_like();
-        let g = build_guest(&mut hv, dom0, "g");
-        hv.set_tracing(true);
-        let _ = hv.hypercall(g, Hypercall::SysctlPhysinfo);
-        let trace = hv.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert!(!trace[0].allowed);
-        assert_eq!(trace[0].caller, g);
-    }
-
-    #[test]
     fn physinfo_reports_host() {
         let (mut hv, dom0) = xen_like();
         match hv.hypercall(dom0, Hypercall::SysctlPhysinfo).unwrap() {
@@ -1514,7 +1467,9 @@ mod transfer_hypercall_tests {
     use super::*;
     use crate::memory::Pfn;
 
-    fn platform() -> (Hypervisor, DomId, DomId, DomId) {
+    /// Dom0, a running guest, and an unprivileged netback shard
+    /// delegated to the guest.
+    pub(super) fn platform() -> (Hypervisor, DomId, DomId, DomId) {
         let mut hv = Hypervisor::with_default_host();
         let dom0 = hv
             .create_boot_domain("dom0", DomainRole::ControlVm, 512, PrivilegeSet::dom0())
@@ -1650,42 +1605,7 @@ mod multicall_tests {
     use crate::error::{EventError, GrantError};
     use crate::grant::{GrantAccess, GrantOpStatus};
 
-    /// Dom0, a running guest, and an unprivileged netback shard
-    /// delegated to the guest.
-    fn platform() -> (Hypervisor, DomId, DomId, DomId) {
-        let mut hv = Hypervisor::with_default_host();
-        let dom0 = hv
-            .create_boot_domain("dom0", DomainRole::ControlVm, 512, PrivilegeSet::dom0())
-            .unwrap();
-        let g = hv
-            .hypercall(
-                dom0,
-                Hypercall::DomctlCreateDomain {
-                    name: "g".into(),
-                    memory_mib: 64,
-                    vcpus: 1,
-                },
-            )
-            .unwrap()
-            .dom_id()
-            .unwrap();
-        hv.hypercall(
-            dom0,
-            Hypercall::MemoryPopulate {
-                target: g,
-                frames: 8,
-            },
-        )
-        .unwrap();
-        hv.hypercall(dom0, Hypercall::DomctlUnpauseDomain { target: g })
-            .unwrap();
-        hv.domain_mut(g).unwrap().delegated_shards.insert(dom0);
-        let nb = hv
-            .create_boot_domain("netback", DomainRole::Shard, 128, PrivilegeSet::default())
-            .unwrap();
-        hv.domain_mut(g).unwrap().delegated_shards.insert(nb);
-        (hv, dom0, g, nb)
-    }
+    use super::transfer_hypercall_tests::platform;
 
     #[test]
     fn multicall_runs_all_entries_without_partial_abort() {
@@ -1713,33 +1633,6 @@ mod multicall_tests {
             Err(HvError::Event(EventError::BadPort(77)))
         ));
         assert_eq!(ret[2], Ok(HypercallRet::Ok));
-    }
-
-    #[test]
-    fn multicall_cannot_smuggle_unwhitelisted_subcall() {
-        let (mut hv, _dom0, _g, nb) = platform();
-        hv.set_tracing(true);
-        let ret = hv
-            .hypercall(
-                nb,
-                Hypercall::Multicall {
-                    calls: vec![Hypercall::SchedYield, Hypercall::SysctlPhysinfo],
-                },
-            )
-            .unwrap()
-            .multi()
-            .unwrap();
-        assert_eq!(ret[0], Ok(HypercallRet::Ok));
-        assert!(matches!(ret[1], Err(HvError::PermissionDenied { .. })));
-        // The denied sub-call must be visible to the over-privilege
-        // audit, exactly as a direct denied call would be.
-        let trace = hv.take_trace();
-        assert!(trace
-            .iter()
-            .any(|t| t.caller == nb && t.id == HypercallId::SysctlPhysinfo && !t.allowed));
-        assert!(trace
-            .iter()
-            .any(|t| t.caller == nb && t.id == HypercallId::Multicall && t.allowed));
     }
 
     #[test]

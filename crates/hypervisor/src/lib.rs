@@ -77,7 +77,7 @@ pub mod xregion;
 pub use domain::{DomId, Domain, DomainRole, DomainState};
 pub use error::{HvError, HvResult};
 pub use hypercall::{Hypercall, HypercallId, HypercallRet};
-pub use hypervisor::{DispatchHook, HostConfig, Hypervisor};
+pub use hypervisor::{GateObserver, HostConfig, Hypervisor};
 pub use privilege::{PciAddress, PrivilegeSet};
 pub use region::Region;
 pub use xregion::CrossRegionOp;

@@ -1312,18 +1312,39 @@ impl MemoryManager {
         if self.rmap_len(mfn.0) <= 1 {
             return Ok(mfn);
         }
+        // Allocate a private copy (of the handle, not the bytes) and
+        // remap this domain's PFN to it.
+        let new_mfn = self.privatise_from(dom, pfn, mfn)?;
+        self.rmap_remove(mfn.0, dom, pfn.0);
+        Ok(new_mfn)
+    }
+
+    /// Privatises a template-backed clone page: allocates a fresh frame
+    /// holding a *handle clone* of the template's page body (no byte
+    /// copy) and installs it in the clone's own p2m. The template's
+    /// frame and rmap are untouched — clones never appear in the rmap
+    /// of template frames.
+    fn clone_break(&mut self, dom: DomId, pfn: Pfn) -> HvResult<Mfn> {
+        let tpl = *self.clone_of.get(&dom).ok_or(MemError::BadPfn(pfn.0))?;
+        let mfn = self.translate(tpl, pfn)?;
+        self.privatise_from(dom, pfn, mfn)
+    }
+
+    /// Allocates a fresh dirty frame for (`dom`, `pfn`) holding a handle
+    /// clone of `src`'s page body (no byte copy) and installs it in
+    /// `dom`'s p2m. The source frame's rmap is the caller's business.
+    fn privatise_from(&mut self, dom: DomId, pfn: Pfn, src: Mfn) -> HvResult<Mfn> {
         if self.free_count == 0 {
             return Err(MemError::OutOfFrames.into());
         }
-        // Allocate a private copy (of the handle, not the bytes) and
-        // remap this domain's PFN to it.
         let (data, hash, hash_ok) = {
-            let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
+            let f = self.frames.get(src.0).ok_or(MemError::BadMfn(src.0))?;
             (f.data.clone(), f.hash, f.hash_ok)
         };
         // The break marks the private frame dirty without changing the
         // bytes; a frozen domain that is never written again must still
-        // roll back to these contents, so capture them now.
+        // roll back to these contents (for a clone, the template's bytes
+        // are the pre-image the break diverges from), so capture them now.
         self.capture_frozen_one(dom, pfn.0, &data);
         let new_mfn = Mfn(self.next_mfn);
         self.next_mfn += 1;
@@ -1346,57 +1367,10 @@ impl MemoryManager {
             self.hash_index_add(hash, new_mfn.0);
         } else if !hash_ok {
             // The private copy inherits the stale flag; queue it so the
-            // next materialization covers the new frame too.
-            self.stale_hashes.push(new_mfn.0);
-        }
-        self.rmap_remove(mfn.0, dom, pfn.0);
-        let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
-        p2m.insert(pfn.0, new_mfn);
-        self.dirty.entry(dom).or_default().set(pfn.0);
-        Ok(new_mfn)
-    }
-
-    /// Privatises a template-backed clone page: allocates a fresh frame
-    /// holding a *handle clone* of the template's page body (no byte
-    /// copy) and installs it in the clone's own p2m. The template's
-    /// frame and rmap are untouched — clones never appear in the rmap
-    /// of template frames.
-    fn clone_break(&mut self, dom: DomId, pfn: Pfn) -> HvResult<Mfn> {
-        let tpl = *self.clone_of.get(&dom).ok_or(MemError::BadPfn(pfn.0))?;
-        let mfn = self.translate(tpl, pfn)?;
-        if self.free_count == 0 {
-            return Err(MemError::OutOfFrames.into());
-        }
-        let (data, hash, hash_ok) = {
-            let f = self.frames.get(mfn.0).ok_or(MemError::BadMfn(mfn.0))?;
-            (f.data.clone(), f.hash, f.hash_ok)
-        };
-        // If the clone is itself frozen (microreboot snapshot), the
-        // template's bytes are the pre-image this break diverges from.
-        self.capture_frozen_one(dom, pfn.0, &data);
-        let new_mfn = Mfn(self.next_mfn);
-        self.next_mfn += 1;
-        self.free_count -= 1;
-        let nonempty = !data.is_empty();
-        self.frames.insert(
-            new_mfn.0,
-            FrameInfo {
-                owner: dom,
-                grant_mappings: 0,
-                foreign_mappings: 0,
-                dirty_since_snapshot: true,
-                data,
-                hash,
-                hash_ok,
-                refs: RefList::one(dom, pfn.0),
-            },
-        );
-        if hash_ok && nonempty {
-            self.hash_index_add(hash, new_mfn.0);
-        } else if !hash_ok {
-            // Template frames are materialized at seal time, so this
-            // only fires for exotic re-break interleavings — but the
-            // invariant (stale ⇒ queued) must hold regardless.
+            // next materialization covers the new frame too. (Template
+            // frames are materialized at seal time, so for a clone break
+            // this only fires for exotic re-break interleavings — but the
+            // invariant, stale ⇒ queued, must hold regardless.)
             self.stale_hashes.push(new_mfn.0);
         }
         let p2m = self.p2m.get_mut(&dom).ok_or(MemError::BadPfn(pfn.0))?;
@@ -1530,11 +1504,6 @@ impl MemoryManager {
         Ok(page_count)
     }
 
-    /// Whether `dom` is a sealed clone template.
-    pub fn is_template(&self, dom: DomId) -> bool {
-        self.templates.contains_key(&dom)
-    }
-
     /// The template backing `dom`, if `dom` is a clone.
     pub fn template_of(&self, dom: DomId) -> Option<DomId> {
         self.clone_of.get(&dom).copied()
@@ -1543,11 +1512,6 @@ impl MemoryManager {
     /// Live clones backed by template `dom` (`None` if not a template).
     pub fn template_clones(&self, dom: DomId) -> Option<u64> {
         self.templates.get(&dom).map(|i| i.clones)
-    }
-
-    /// Pages sealed into template `dom` (`None` if not a template).
-    pub fn template_page_count(&self, dom: DomId) -> Option<u64> {
-        self.templates.get(&dom).map(|i| i.page_count)
     }
 
     /// Number of pages `clone` has privatised away from its template.

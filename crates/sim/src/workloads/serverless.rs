@@ -272,12 +272,6 @@ pub struct DensityRow {
     pub density: f64,
 }
 
-/// Memory of `frames` model frames, MiB, at the builder's one-frame-per-
-/// MiB populate granularity.
-pub fn frames_to_mib(frames: u64) -> u64 {
-    frames / frames_per_mib_model()
-}
-
 /// Stamps `count` clones of one small template directly through
 /// `DomctlCloneDomain` — no device wiring, no XenStore stamping — and
 /// measures frame consumption against the built-guest equivalent. This

@@ -488,14 +488,16 @@ impl XenStoreLogic {
         } else {
             format!("{}/", path.as_str())
         };
-        let mut children: Vec<String> = keys
+        // An ordered set, not a sorted-then-deduped list: the keys sort
+        // by full path, so a sibling like `device-setup` lands between
+        // `device` and `device/...` and splits the repeats apart.
+        let children: BTreeSet<&str> = keys
             .iter()
             .filter(|k| k.starts_with(&prefix) && **k != *path.as_str())
             .filter(|k| !k.starts_with(WATCH_JOURNAL))
-            .filter_map(|k| k[prefix.len()..].split('/').next().map(str::to_string))
+            .filter_map(|k| k[prefix.len()..].split('/').next())
             .collect();
-        children.dedup();
-        Ok(children)
+        Ok(children.into_iter().map(str::to_string).collect())
     }
 
     /// Reads a node's permissions.
@@ -856,10 +858,14 @@ mod tests {
             .unwrap();
         l.write(&mut s, guest, None, &p("/local/domain/7/name"), b"n")
             .unwrap();
+        // `device-setup` sorts between `device` and `device/...` by full
+        // path; `device` must still be listed once.
+        l.write(&mut s, guest, None, &p("/local/domain/7/device-setup"), b"")
+            .unwrap();
         let dir = l
             .directory(&mut s, guest, None, &p("/local/domain/7"))
             .unwrap();
-        assert_eq!(dir, vec!["device", "name"]);
+        assert_eq!(dir, vec!["device", "device-setup", "name"]);
         let dir = l
             .directory(&mut s, guest, None, &p("/local/domain/7/device"))
             .unwrap();

@@ -312,11 +312,6 @@ impl XenStore {
         }
     }
 
-    /// Size of the durable store (node records).
-    pub fn state_len(&self) -> usize {
-        self.state.len()
-    }
-
     /// Narrow-protocol operations served by State so far.
     pub fn state_ops(&self) -> u64 {
         self.state.ops_served()
@@ -325,11 +320,6 @@ impl XenStore {
     /// Read-only access to Logic (audit/analysis tooling).
     pub fn logic(&self) -> &XenStoreLogic {
         &self.logic
-    }
-
-    /// Direct access to Logic (tests, restart policies).
-    pub fn logic_mut(&mut self) -> &mut XenStoreLogic {
-        &mut self.logic
     }
 
     /// Direct access to State (tests, audit tooling).

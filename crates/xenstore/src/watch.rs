@@ -39,7 +39,6 @@ pub struct WatchEvent {
 pub struct WatchRegistry {
     watches: Vec<Watch>,
     pending: VecDeque<WatchEvent>,
-    fired: u64,
 }
 
 impl WatchRegistry {
@@ -65,15 +64,14 @@ impl WatchRegistry {
             path: path.clone(),
             token: token.clone(),
         });
-        self.fired += 1;
         self.watches.push(Watch { dom, path, token });
         true
     }
 
     /// Re-registers a watch recovered from the State journal: no
     /// synthetic initial event is queued (the watcher already received
-    /// one when it registered in a previous Logic epoch) and no fire is
-    /// counted. Duplicates are still rejected.
+    /// one when it registered in a previous Logic epoch). Duplicates are
+    /// still rejected.
     pub fn register_recovered(&mut self, dom: DomId, path: XsPath, token: String) -> bool {
         if self
             .watches
@@ -86,13 +84,11 @@ impl WatchRegistry {
         true
     }
 
-    /// Drops every registration, pending event, and the fired counter,
-    /// keeping the allocations (Logic microreboot support: the registry
+    /// Drops every registration and pending event, keeping the allocations (Logic microreboot support: the registry
     /// is rebuilt from the State journal without reallocating).
     pub fn clear(&mut self) {
         self.watches.clear();
         self.pending.clear();
-        self.fired = 0;
     }
 
     /// Removes a watch. Returns whether one was removed.
@@ -116,7 +112,6 @@ impl WatchRegistry {
                 n += 1;
             }
         }
-        self.fired += n as u64;
         n
     }
 
@@ -135,11 +130,6 @@ impl WatchRegistry {
     pub fn remove_domain(&mut self, dom: DomId) {
         self.watches.retain(|w| w.dom != dom);
         self.pending.retain(|e| e.dom != dom);
-    }
-
-    /// Total events ever fired (evaluation counter).
-    pub fn fired_count(&self) -> u64 {
-        self.fired
     }
 
     /// Total watches registered right now.

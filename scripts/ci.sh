@@ -9,15 +9,26 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
+
+# The end-to-end benchmark is a package of its own (e2ebench/) built
+# against the workspace crates' public API. Build it and run its
+# self-test here, so an API change that breaks it fails CI rather than
+# the next benchmark run. The self-test drives each workload briefly
+# and checks every correctness check fires on its injected fault.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path e2ebench/Cargo.toml -- --selftest
+
 cargo test -q --workspace --offline
 
 # Bench gate: run the deterministic harnesses and keep their
 # machine-readable tails (the harness prints one JSON document as the
 # last stdout line) as committed perf baselines at the repo root. Each
-# fresh run is compared against the committed baseline BEFORE it
-# replaces it: bench-gate fails on any hot-path entry whose median
-# regressed by more than 2x, and on any restart-path entry whose p95
-# tail exceeds 6x its own median.
+# entry's gate is declared where the bench is registered and travels in
+# the JSON. Each fresh run is compared against the committed baseline
+# BEFORE it replaces it: bench-gate fails on any hot entry whose median
+# regressed by more than 2x, any tail entry whose p95 exceeds 6x its
+# own median, any broken within-run ordering, and any entry gated in
+# the baseline that the fresh run lacks.
 fresh_microbench="$(mktemp)"
 fresh_ablation="$(mktemp)"
 trap 'rm -f "$fresh_microbench" "$fresh_ablation"' EXIT
@@ -27,7 +38,7 @@ cargo run --release --offline -p xoar-bench --bin bench_gate -- \
 mv "$fresh_microbench" BENCH_microbench.json
 cargo bench --offline -p xoar-bench --bench ablation | tail -n 1 > "$fresh_ablation"
 cargo run --release --offline -p xoar-bench --bin bench_gate -- \
-    --set=ablation BENCH_ablation.json "$fresh_ablation"
+    BENCH_ablation.json "$fresh_ablation"
 mv "$fresh_ablation" BENCH_ablation.json
 trap - EXIT
 echo "bench baselines written: BENCH_microbench.json BENCH_ablation.json"

@@ -6,9 +6,7 @@ use xoar_core::migration::{migrate, MigrationConfig};
 use xoar_core::platform::{GuestConfig, Platform, XoarConfig};
 use xoar_core::toolstack::{ResourceQuota, Toolstack};
 use xoar_devices::blk::BlkOp;
-use xoar_devices::sriov::{sharing_analysis, SrIovNic};
 use xoar_hypervisor::memory::Pfn;
-use xoar_hypervisor::PciAddress;
 use xoar_security::survey;
 
 #[test]
@@ -76,33 +74,6 @@ fn consolidation_lifecycle_with_all_features() {
     // Audit chains on both hosts verify.
     assert_eq!(host_a.audit.verify_chain(), Ok(()));
     assert_eq!(host_b.audit.verify_chain(), Ok(()));
-}
-
-#[test]
-fn sriov_trades_driver_domains_for_persistent_pciback() {
-    // §5.3's irony, end to end: SR-IOV needs PCIBack kept alive.
-    let mut p = Platform::xoar(XoarConfig {
-        keep_pciback: true,
-        ..Default::default()
-    });
-    let ts = p.services.toolstacks[0];
-    let g1 = p
-        .create_guest(ts, GuestConfig::evaluation_guest("vf-guest-1"))
-        .unwrap();
-    let g2 = p
-        .create_guest(ts, GuestConfig::evaluation_guest("vf-guest-2"))
-        .unwrap();
-    let mut nic = SrIovNic::new(PciAddress::new(0, 2, 0), 8);
-    let pciback = p.pciback.as_mut().expect("kept alive");
-    nic.enable(pciback, 4).unwrap();
-    let vf1 = nic.assign_vf(pciback, g1).unwrap();
-    let vf2 = nic.assign_vf(pciback, g2).unwrap();
-    assert_ne!(vf1, vf2);
-    // Static vs dynamic persistent-sharing comparison.
-    let a = sharing_analysis(true);
-    assert!(a.with_sriov > a.with_driver_domain);
-    // And the memory cost is visible: keep_pciback adds its 256 MiB.
-    assert_eq!(p.service_memory_mib(), 640 + 256);
 }
 
 #[test]
