@@ -154,9 +154,7 @@ pub fn strip_code(src: &str) -> String {
                     }
                     if h == hashes {
                         out.push('"');
-                        for _ in 0..hashes {
-                            out.push('#');
-                        }
+                        out.extend(std::iter::repeat_n('#', hashes));
                         k += 1 + hashes;
                         break;
                     }
@@ -809,7 +807,7 @@ impl Allowlist {
             .filter(|(p, r, n)| {
                 !findings
                     .iter()
-                    .any(|f| p == &f.file && r == &f.rule && f.excerpt.contains(n.as_str()))
+                    .any(|f| p == &f.file && r == f.rule && f.excerpt.contains(n.as_str()))
             })
             .map(|(p, r, n)| format!("{p}|{r}|{n}"))
             .collect()

@@ -442,17 +442,17 @@ impl SpecCore {
                         );
                         return;
                     }
-                    Some(&prev) if prev != owner => {
-                        if !allowed(prev, writes) || !allowed(owner, writes) {
-                            self.diverge(
-                                "unjustified-ownership-change",
-                                format!(
-                                    "frame {mfn} changed owner {prev} → {owner} outside \
+                    Some(&prev)
+                        if prev != owner && (!allowed(prev, writes) || !allowed(owner, writes)) =>
+                    {
+                        self.diverge(
+                            "unjustified-ownership-change",
+                            format!(
+                                "frame {mfn} changed owner {prev} → {owner} outside \
                                      the op footprint"
-                                ),
-                            );
-                            return;
-                        }
+                            ),
+                        );
+                        return;
                     }
                     _ => {}
                 }

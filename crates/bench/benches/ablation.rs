@@ -50,23 +50,25 @@ fn bench_privilege_checks(h: &mut Harness) {
     // Direct probes of the privilege data structures: a bitset test for
     // the hypercall whitelist, binary search over sorted ranges for I/O
     // ports and MMIO — the structures `permits_*` dispatches through.
-    let mut ps = PrivilegeSet::default();
-    ps.hypercalls = [
-        HypercallId::DomctlCreateDomain,
-        HypercallId::DomctlDestroyDomain,
-        HypercallId::SysctlPhysinfo,
-    ]
-    .into_iter()
-    .collect();
-    ps.io_ports = (0..32u16)
-        .map(|i| IoPortRange::new(i * 0x100, i * 0x100 + 0x1f))
-        .collect();
-    ps.mmio = (0..32u64)
-        .map(|i| MmioRange {
-            start_mfn: 0x1000 + i * 0x100,
-            frames: 0x40,
-        })
-        .collect();
+    let ps = PrivilegeSet {
+        hypercalls: [
+            HypercallId::DomctlCreateDomain,
+            HypercallId::DomctlDestroyDomain,
+            HypercallId::SysctlPhysinfo,
+        ]
+        .into_iter()
+        .collect(),
+        io_ports: (0..32u16)
+            .map(|i| IoPortRange::new(i * 0x100, i * 0x100 + 0x1f))
+            .collect(),
+        mmio: (0..32u64)
+            .map(|i| MmioRange {
+                start_mfn: 0x1000 + i * 0x100,
+                frames: 0x40,
+            })
+            .collect(),
+        ..PrivilegeSet::default()
+    };
     group.bench_function("permits_hypercall_bitset", || {
         assert!(ps.permits_hypercall(black_box(HypercallId::SysctlPhysinfo)));
         assert!(!ps.permits_hypercall(black_box(HypercallId::PlatformReboot)));

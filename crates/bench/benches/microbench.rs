@@ -442,7 +442,7 @@ fn bench_fabric(h: &mut Harness) {
     for i in 0..8u32 {
         let c = vif(10 + i, i);
         hub.create(c.ring);
-        fab.attach_port(c);
+        fab.attach_port(c).unwrap();
     }
     const POP: u64 = 100_000;
     let key_of = |f: u64| FlowKey {
@@ -478,7 +478,7 @@ fn bench_fabric(h: &mut Harness) {
     let dst = vif(6, 1);
     for c in [src, dst] {
         hub.create(c.ring);
-        fab.attach_port(c);
+        fab.attach_port(c).unwrap();
     }
     for f in 0..4u64 {
         fab.open_flow(f, DomId(5), DomId(6)).unwrap();

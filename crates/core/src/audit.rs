@@ -279,24 +279,20 @@ impl AuditLog {
             match &r.event {
                 AuditEvent::ShardLinked {
                     guest, shard: s, ..
-                } if *s == shard => {
-                    if r.at_ns <= to_ns {
-                        if r.at_ns >= from_ns {
-                            exposed.insert(*guest);
-                        } else {
-                            linked_before.insert(*guest);
-                        }
+                } if *s == shard && r.at_ns <= to_ns => {
+                    if r.at_ns >= from_ns {
+                        exposed.insert(*guest);
+                    } else {
+                        linked_before.insert(*guest);
                     }
                 }
-                AuditEvent::ShardUnlinked { guest, shard: s } if *s == shard => {
-                    if r.at_ns < from_ns {
-                        linked_before.remove(guest);
-                    }
+                AuditEvent::ShardUnlinked { guest, shard: s }
+                    if *s == shard && r.at_ns < from_ns =>
+                {
+                    linked_before.remove(guest);
                 }
-                AuditEvent::VmDestroyed { guest } => {
-                    if r.at_ns < from_ns {
-                        linked_before.remove(guest);
-                    }
+                AuditEvent::VmDestroyed { guest } if r.at_ns < from_ns => {
+                    linked_before.remove(guest);
                 }
                 _ => {}
             }

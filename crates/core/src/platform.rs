@@ -17,15 +17,16 @@
 
 use std::collections::HashMap;
 
-use xoar_devices::blk::{BlkFront, BlkRingHub};
+use xoar_devices::blk::{BlkFront, BlkOp, BlkRingHub};
 use xoar_devices::console::ConsoleManager;
 use xoar_devices::emu::QemuDeviceModel;
 use xoar_devices::fabric::Fabric;
 use xoar_devices::hw::{DiskModel, NicModel};
 use xoar_devices::net::{NetFront, NetRingHub, WireEndpoint};
 use xoar_devices::pci::{PciBack, PciBus, PciClass};
-use xoar_devices::xenbus::{self, DeviceKind};
-use xoar_devices::{BlkBack, NetBack};
+use xoar_devices::ring::RingError;
+use xoar_devices::xenbus::{self, Connection, DeviceKind};
+use xoar_devices::{BlkBack, NetBack, RingId};
 use xoar_hypervisor::domain::DomainRole;
 use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::{DomId, DomainState, HvError, HvResult, Hypercall, Hypervisor, PrivilegeSet};
@@ -117,6 +118,101 @@ pub struct GuestHandle {
     pub blkback: Option<DomId>,
     /// The per-guest device-model domain (HVM guests on Xoar).
     pub qemu: Option<DomId>,
+    /// How the vif is attached, if one is.
+    pub vif: Option<DeviceLink>,
+    /// How the vbd is attached, if one is.
+    pub vbd: Option<DeviceLink>,
+}
+
+impl GuestHandle {
+    /// A handle with no devices attached yet.
+    fn new(dom: DomId, name: String, constraint: ConstraintTag, toolstack: DomId) -> Self {
+        GuestHandle {
+            dom,
+            name,
+            constraint,
+            toolstack,
+            netfront: None,
+            blkfront: None,
+            netback: None,
+            blkback: None,
+            qemu: None,
+            vif: None,
+            vbd: None,
+        }
+    }
+
+    /// Installs a freshly connected device: its frontend, its serving
+    /// backend, and the record of how it was attached.
+    fn install(&mut self, link: DeviceLink) {
+        match link.backing {
+            Backing::Net => {
+                self.netfront = Some(NetFront::new(link.conn));
+                self.netback = Some(link.conn.backend);
+                self.vif = Some(link);
+            }
+            Backing::Disk { .. } => {
+                self.blkfront = Some(BlkFront::new(link.conn));
+                self.blkback = Some(link.conn.backend);
+                self.vbd = Some(link);
+            }
+        }
+    }
+}
+
+/// What serves one split device on the backend side.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Backing {
+    /// A vif: NetBack, plus a switch port while the fabric is enabled.
+    Net,
+    /// A vbd: BlkBack serving a disk image.
+    Disk {
+        /// The backing image.
+        image: String,
+        /// Whether the guest reads `image` copy-on-write (a clone sharing
+        /// its template's root image) rather than mounting it exclusively.
+        cow: bool,
+    },
+}
+
+/// How one split device of a guest is attached: the record that
+/// destroying the guest undoes and a hypervisor replacement replays.
+#[derive(Debug, Clone)]
+pub struct DeviceLink {
+    /// The live connection: backend, shared ring, event channels.
+    pub conn: Connection,
+    /// What serves it.
+    pub backing: Backing,
+}
+
+impl Backing {
+    /// The device class this backing serves.
+    pub(crate) fn kind(&self) -> DeviceKind {
+        match self {
+            Backing::Net => DeviceKind::Vif,
+            Backing::Disk { .. } => DeviceKind::Vbd,
+        }
+    }
+}
+
+/// Where [`Platform::connect`] takes a device's shared ring from.
+#[derive(Debug, Clone, Copy)]
+enum RingSource {
+    /// The xenbus handshake, linked by this toolstack.
+    Negotiate(DomId),
+    /// The ring grant `DomctlCloneDomain` stamped into a clone: fresh
+    /// event channels, no renegotiation.
+    Stamped,
+}
+
+/// Guest-local PFN of a device's ring page: fixed pages just past the
+/// magic pages the Builder lays out (start-info, store ring, console
+/// ring, kernel).
+fn ring_pfn(kind: DeviceKind) -> Pfn {
+    match kind {
+        DeviceKind::Vif => Pfn(4),
+        _ => Pfn(6),
+    }
 }
 
 /// Per-guest creation parameters.
@@ -215,13 +311,9 @@ pub struct GuestTemplate {
     pub constraint: ConstraintTag,
     /// Memory reservation clones are accounted at, MiB.
     pub memory_mib: u64,
-    /// Root disk image clones share (copy-on-write at the image level is
-    /// out of scope; clones attach read-mostly to the template's image).
-    pub image: String,
-    /// Serving NetBack for the template's vif.
-    pub netback: Option<DomId>,
-    /// Serving BlkBack for the template's vbd.
-    pub blkback: Option<DomId>,
+    /// The template's devices as (serving backend, backing): clones attach
+    /// to the same backends and read the vbd's root image copy-on-write.
+    pub devices: Vec<(DomId, Backing)>,
     /// Captured `/local/domain/<id>` subtree as (relative path, value).
     guest_nodes: Vec<(String, String)>,
     /// Captured backend rows: (backend, kind, index, relative key, value).
@@ -255,8 +347,6 @@ impl Platform {
         let mut console_mgr = ConsoleManager::new(dom0);
         console_mgr.register_guest(dom0);
 
-        let mut blkback = BlkBack::new(dom0, DiskModel::sata_7200(disk_addr));
-        let _ = &mut blkback;
         Platform {
             mode: PlatformMode::StockXen,
             services: ServiceDoms {
@@ -273,7 +363,7 @@ impl Platform {
             console_mgr,
             pciback: Some(pciback),
             netbacks: vec![NetBack::new(dom0, NicModel::gigabit(nic_addr))],
-            blkbacks: vec![blkback],
+            blkbacks: vec![BlkBack::new(dom0, DiskModel::sata_7200(disk_addr))],
             net_hub: NetRingHub::new(),
             blk_hub: BlkRingHub::new(),
             wire: WireEndpoint::new(),
@@ -397,7 +487,7 @@ impl Platform {
             Hypercall::DomctlMmioPermission {
                 target: pciback_dom,
                 range: xoar_hypervisor::privilege::MmioRange {
-                    start_mfn: 0xf000_0,
+                    start_mfn: 0x000f_0000,
                     frames: 0x1000,
                 },
             },
@@ -651,107 +741,34 @@ impl Platform {
             },
         );
 
-        // Network device. Ring pages live at fixed guest-local PFNs just
-        // past the magic pages the Builder laid out (start-info, store
-        // ring, console ring, kernel).
-        let vif_ring_pfn = Pfn(4);
-        let net_conn = xenbus::negotiate(
-            &mut self.hv,
-            &mut self.xs,
-            &mut self.net_hub,
-            toolstack,
-            guest,
-            netback,
-            DeviceKind::Vif,
-            0,
-            vif_ring_pfn,
-        )
-        .map_err(|e| HvError::InvalidArgument(format!("vif negotiation: {e}")))?;
-        let nb_idx = self
-            .services
-            .netbacks
-            .iter()
-            .position(|d| *d == netback)
-            .unwrap();
-        self.netbacks[nb_idx].attach(net_conn);
-        self.fabric_attach(net_conn);
-        self.audit.append(
-            now,
-            AuditEvent::ShardLinked {
-                guest,
-                shard: netback,
-                kind: ShardKind::NetBack,
-                release: NETBACK_RELEASE.into(),
-            },
-        );
-
-        // Block device: provision the image through the proxy daemon, then
-        // negotiate.
+        // Network device, then the block device: its image is provisioned
+        // through BlkBack's proxy daemon before the vbd connects.
+        let mut handle =
+            GuestHandle::new(guest, cfg.name.clone(), cfg.constraint.clone(), toolstack);
+        let negotiate = RingSource::Negotiate(toolstack);
+        handle.install(self.link(now, guest, netback, Backing::Net, negotiate)?);
         let image = format!("{}-root.img", cfg.name);
-        let bb_idx = self
-            .services
-            .blkbacks
-            .iter()
-            .position(|d| *d == blkback)
-            .unwrap();
-        self.blkbacks[bb_idx]
+        let bb = self.backend_index(DeviceKind::Vbd, blkback)?;
+        self.blkbacks[bb]
             .images
             .create_image(&image, cfg.disk_bytes)
             .map_err(HvError::InvalidArgument)?;
-        let vbd_ring_pfn = Pfn(6);
-        let blk_conn = xenbus::negotiate(
-            &mut self.hv,
-            &mut self.xs,
-            &mut self.blk_hub,
-            toolstack,
-            guest,
-            blkback,
-            DeviceKind::Vbd,
-            0,
-            vbd_ring_pfn,
-        )
-        .map_err(|e| HvError::InvalidArgument(format!("vbd negotiation: {e}")))?;
-        self.blkbacks[bb_idx]
-            .attach(blk_conn, &image)
-            .map_err(HvError::InvalidArgument)?;
-        self.audit.append(
-            now,
-            AuditEvent::ShardLinked {
-                guest,
-                shard: blkback,
-                kind: ShardKind::BlkBack,
-                release: BLKBACK_RELEASE.into(),
-            },
-        );
+        let vbd = Backing::Disk { image, cow: false };
+        handle.install(self.link(now, guest, blkback, vbd, negotiate)?);
 
         // Console.
         self.console_mgr.register_guest(guest);
 
         // Device emulation for HVM guests.
-        let qemu = if cfg.hvm {
-            Some(self.spawn_device_model(guest)?)
-        } else {
-            None
-        };
+        if cfg.hvm {
+            handle.qemu = Some(self.spawn_device_model(guest)?);
+        }
 
         // Adopt constraint tags on first use.
         self.adopt_tag(netback, &cfg.constraint);
         self.adopt_tag(blkback, &cfg.constraint);
 
-        self.guests.insert(
-            guest,
-            GuestHandle {
-                dom: guest,
-                name: cfg.name,
-                constraint: cfg.constraint,
-                toolstack,
-                netfront: Some(NetFront::new(net_conn)),
-                blkfront: Some(BlkFront::new(blk_conn)),
-                netback: Some(netback),
-                blkback: Some(blkback),
-                qemu,
-            },
-        );
+        self.guests.insert(guest, handle);
         Ok(guest)
     }
 
@@ -825,44 +842,28 @@ impl Platform {
             .hypercall(toolstack, Hypercall::DomctlDestroyDomain { target: guest })?;
         let now = self.hv.now_ns();
         if let Some(handle) = self.guests.remove(&guest) {
-            if let Some(nb) = handle.netback {
-                let idx = self
-                    .services
-                    .netbacks
-                    .iter()
-                    .position(|d| *d == nb)
-                    .unwrap();
-                self.netbacks[idx].detach_guest(guest);
-                self.net_hub.detach_granter(guest);
-                let _ = self.xs.rm(
-                    toolstack,
-                    &xenbus::backend_path(nb, DeviceKind::Vif, guest, 0),
-                );
-                self.audit
-                    .append(now, AuditEvent::ShardUnlinked { guest, shard: nb });
-                self.release_tag_if_unused(nb);
-            }
-            if let Some(bb) = handle.blkback {
-                let idx = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == bb)
-                    .unwrap();
-                self.blkbacks[idx].detach_guest(guest);
+            for link in [handle.vif, handle.vbd].into_iter().flatten() {
+                let conn = link.conn;
+                self.disconnect(&link)?;
                 // The root image is deleted with its guest (the toolstack
-                // proxies the request to BlkBack's daemon, §5.4).
-                let _ = self.blkbacks[idx]
-                    .images
-                    .delete_image(&format!("{}-root.img", handle.name));
+                // proxies the request to BlkBack's daemon, §5.4); a
+                // clone's CoW image stays with its template.
+                if let Backing::Disk { image, cow: false } = &link.backing {
+                    let bb = self.backend_index(conn.kind, conn.backend)?;
+                    let _ = self.blkbacks[bb].images.delete_image(image);
+                }
                 let _ = self.xs.rm(
                     toolstack,
-                    &xenbus::backend_path(bb, DeviceKind::Vbd, guest, 0),
+                    &xenbus::backend_path(conn.backend, conn.kind, guest, conn.index),
                 );
-                self.blk_hub.detach_granter(guest);
-                self.audit
-                    .append(now, AuditEvent::ShardUnlinked { guest, shard: bb });
-                self.release_tag_if_unused(bb);
+                self.audit.append(
+                    now,
+                    AuditEvent::ShardUnlinked {
+                        guest,
+                        shard: conn.backend,
+                    },
+                );
+                self.release_tag_if_unused(conn.backend);
             }
             if let Some(q) = handle.qemu {
                 if self.mode == PlatformMode::Xoar {
@@ -910,12 +911,12 @@ impl Platform {
                 "HVM guests with device models cannot be templates".into(),
             ));
         }
-        let (name, constraint, netback, blkback) = (
-            handle.name.clone(),
-            handle.constraint.clone(),
-            handle.netback,
-            handle.blkback,
-        );
+        let (name, constraint) = (handle.name.clone(), handle.constraint.clone());
+        let devices: Vec<(DomId, Backing)> = [&handle.vif, &handle.vbd]
+            .into_iter()
+            .flatten()
+            .map(|l| (l.conn.backend, l.backing.clone()))
+            .collect();
         if self.hv.domain(guest)?.state == DomainState::Running {
             self.hv
                 .hypercall(toolstack, Hypercall::DomctlPauseDomain { target: guest })?;
@@ -927,8 +928,8 @@ impl Platform {
         let mut guest_nodes = Vec::new();
         self.walk_subtree(toolstack, &root, "", &mut guest_nodes);
         let mut backend_nodes = Vec::new();
-        for (backend, kind) in [(netback, DeviceKind::Vif), (blkback, DeviceKind::Vbd)] {
-            let Some(backend) = backend else { continue };
+        for (backend, backing) in &devices {
+            let (backend, kind) = (*backend, backing.kind());
             let bp = xenbus::backend_path(backend, kind, guest, 0);
             let mut rows = Vec::new();
             self.walk_subtree(toolstack, &bp, "", &mut rows);
@@ -942,13 +943,11 @@ impl Platform {
             guest,
             GuestTemplate {
                 dom: guest,
-                name: name.clone(),
+                name,
                 toolstack,
                 constraint,
                 memory_mib,
-                image: format!("{name}-root.img"),
-                netback,
-                blkback,
+                devices,
                 guest_nodes,
                 backend_nodes,
             },
@@ -1026,12 +1025,7 @@ impl Platform {
                 privilege: format!("clone of template {template} captured elsewhere"),
             });
         }
-        let (constraint, image, netback, blkback) = (
-            tpl.constraint.clone(),
-            tpl.image.clone(),
-            tpl.netback,
-            tpl.blkback,
-        );
+        let (constraint, devices) = (tpl.constraint.clone(), tpl.devices.clone());
         let clone = self
             .hv
             .hypercall(
@@ -1089,84 +1083,112 @@ impl Platform {
         }
         let _ = self.xs.write_str(toolstack, &format!("{home}/name"), name);
 
-        // Wire the split devices against the grants `DomctlCloneDomain`
-        // stamped: fresh event channels, same backends, no renegotiation.
-        let netfront = match netback {
-            Some(nb) => Some(NetFront::new(self.wire_cloned_device(
-                clone,
-                nb,
-                DeviceKind::Vif,
-                Pfn(4),
-                now,
-                ShardKind::NetBack,
-                NETBACK_RELEASE,
-            )?)),
-            None => None,
-        };
-        let blkfront = match blkback {
-            Some(bb) => {
-                let conn = self.wire_cloned_device(
-                    clone,
-                    bb,
-                    DeviceKind::Vbd,
-                    Pfn(6),
-                    now,
-                    ShardKind::BlkBack,
-                    BLKBACK_RELEASE,
-                )?;
-                let idx = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == bb)
-                    .unwrap();
-                self.blkbacks[idx]
-                    .attach_cow(conn, &image)
-                    .map_err(HvError::InvalidArgument)?;
-                Some(BlkFront::new(conn))
-            }
-            None => None,
-        };
+        // Connect the split devices against the grants `DomctlCloneDomain`
+        // stamped: fresh event channels, same backends, no renegotiation,
+        // and the template's root image shared copy-on-write.
+        let mut handle = GuestHandle::new(clone, name.to_string(), constraint, toolstack);
+        for (backend, backing) in devices {
+            let backing = match backing {
+                Backing::Disk { image, .. } => Backing::Disk { image, cow: true },
+                net => net,
+            };
+            handle.install(self.link(now, clone, backend, backing, RingSource::Stamped)?);
+        }
 
         self.console_mgr.register_guest(clone);
-        self.guests.insert(
-            clone,
-            GuestHandle {
-                dom: clone,
-                name: name.to_string(),
-                constraint,
-                toolstack,
-                netfront,
-                blkfront,
-                netback,
-                blkback,
-                qemu: None,
-            },
-        );
+        self.guests.insert(clone, handle);
         Ok(clone)
     }
 
-    /// Connects one split device of a freshly stamped clone: locates the
-    /// grant `DomctlCloneDomain` replayed for the ring page, binds a fresh
-    /// event-channel pair, and registers the ring with the hub.
-    #[allow(clippy::too_many_arguments)]
-    fn wire_cloned_device(
+    // ================= device lifecycle =================
+    //
+    // Every guest vif and vbd is connected by `connect` and disconnected
+    // by `disconnect`, whichever path — creation, cloning, hypervisor
+    // replacement, destruction — asks for it.
+
+    /// The index of `dom`'s backend instance for `kind` devices: its slot
+    /// in `netbacks` (vif) or `blkbacks` (vbd).
+    pub(crate) fn backend_index(&self, kind: DeviceKind, dom: DomId) -> HvResult<usize> {
+        let table: &[DomId] = match kind {
+            DeviceKind::Vif => &self.services.netbacks,
+            DeviceKind::Vbd => &self.services.blkbacks,
+            _ => &[],
+        };
+        table.iter().position(|d| *d == dom).ok_or_else(|| {
+            HvError::InvalidArgument(format!("{dom} hosts no {} backend", kind.name()))
+        })
+    }
+
+    /// Connects one split device of `guest` to `backend`: takes the
+    /// shared ring from `source`, creates it in the ring hub, and attaches
+    /// the backend — NetBack and a fabric port for a vif, BlkBack with an
+    /// exclusive or CoW image for a vbd.
+    fn connect(
+        &mut self,
+        guest: DomId,
+        backend: DomId,
+        backing: Backing,
+        source: RingSource,
+    ) -> HvResult<DeviceLink> {
+        let kind = backing.kind();
+        let idx = self.backend_index(kind, backend)?;
+        let conn = match source {
+            RingSource::Negotiate(toolstack) => self
+                .negotiate(toolstack, guest, backend, kind)
+                .map_err(|e| {
+                    HvError::InvalidArgument(format!("{} negotiation: {e}", kind.name()))
+                })?,
+            RingSource::Stamped => self.adopt_stamped_ring(guest, backend, kind)?,
+        };
+        match &backing {
+            Backing::Net => {
+                self.net_hub.create(conn.ring);
+                if let Some(fab) = self.fabric.as_mut() {
+                    fab.attach_port(conn)
+                        .map_err(|_| HvError::LimitExceeded("fabric switch ports"))?;
+                }
+                self.netbacks[idx].attach(conn);
+            }
+            Backing::Disk { image, cow } => {
+                self.blk_hub.create(conn.ring);
+                self.blkbacks[idx]
+                    .attach(conn, image, *cow)
+                    .map_err(HvError::InvalidArgument)?;
+            }
+        }
+        Ok(DeviceLink { conn, backing })
+    }
+
+    /// The three-step xenbus handshake (§4.5.1) for device 0 of `kind`:
+    /// the toolstack links both ends, the frontend grants its ring page
+    /// and publishes it, the backend maps it and binds the channel.
+    fn negotiate(
+        &mut self,
+        toolstack: DomId,
+        guest: DomId,
+        backend: DomId,
+        kind: DeviceKind,
+    ) -> xenbus::XbResult<Connection> {
+        xenbus::toolstack_link(&mut self.xs, toolstack, guest, backend, kind, 0)?;
+        xenbus::frontend_init(&mut self.hv, &mut self.xs, guest, kind, 0, ring_pfn(kind))?;
+        xenbus::backend_accept(&mut self.hv, &mut self.xs, backend, kind, guest, 0)
+    }
+
+    /// Adopts the ring grant `DomctlCloneDomain` replayed into a clone for
+    /// `kind`'s ring page and binds a fresh event-channel pair.
+    fn adopt_stamped_ring(
         &mut self,
         clone: DomId,
         backend: DomId,
         kind: DeviceKind,
-        ring_pfn: Pfn,
-        now: u64,
-        shard_kind: ShardKind,
-        release: &str,
-    ) -> HvResult<xenbus::Connection> {
+    ) -> HvResult<Connection> {
         let gref = self
             .hv
             .grant_table(clone)
             .ok_or(HvError::NoSuchDomain(clone))?
             .granted_to(backend)
             .into_iter()
-            .find(|(_, e)| e.pfn == ring_pfn)
+            .find(|(_, e)| e.pfn == ring_pfn(kind))
             .map(|(gref, _)| gref)
             .ok_or_else(|| {
                 HvError::InvalidArgument(format!("no stamped {} ring grant", kind.name()))
@@ -1185,43 +1207,66 @@ impl Platform {
                 },
             )?
             .port()?;
-        let ring = xoar_devices::RingId {
-            granter: clone,
-            gref,
-        };
-        match kind {
-            DeviceKind::Vif => self.net_hub.create(ring),
-            _ => self.blk_hub.create(ring),
-        };
-        let conn = xenbus::Connection {
+        Ok(Connection {
             guest: clone,
             backend,
             kind,
             index: 0,
-            ring,
+            ring: RingId {
+                granter: clone,
+                gref,
+            },
             front_port,
             back_port,
+        })
+    }
+
+    /// Connects a device of a new guest and audits the new link.
+    fn link(
+        &mut self,
+        now: u64,
+        guest: DomId,
+        backend: DomId,
+        backing: Backing,
+        source: RingSource,
+    ) -> HvResult<DeviceLink> {
+        let link = self.connect(guest, backend, backing, source)?;
+        let (kind, release) = match link.backing {
+            Backing::Net => (ShardKind::NetBack, NETBACK_RELEASE),
+            Backing::Disk { .. } => (ShardKind::BlkBack, BLKBACK_RELEASE),
         };
-        if kind == DeviceKind::Vif {
-            let idx = self
-                .services
-                .netbacks
-                .iter()
-                .position(|d| *d == backend)
-                .unwrap();
-            self.netbacks[idx].attach(conn);
-            self.fabric_attach(conn);
-        }
         self.audit.append(
             now,
             AuditEvent::ShardLinked {
-                guest: clone,
+                guest,
                 shard: backend,
-                kind: shard_kind,
+                kind,
                 release: release.into(),
             },
         );
-        Ok(conn)
+        Ok(link)
+    }
+
+    /// Undoes exactly what [`Self::connect`] did for `link`: detaches the
+    /// backend (unmounting the image), destroys the shared ring, and
+    /// frees the vif's fabric port.
+    fn disconnect(&mut self, link: &DeviceLink) -> HvResult<()> {
+        let conn = link.conn;
+        let idx = self.backend_index(conn.kind, conn.backend)?;
+        match link.backing {
+            Backing::Net => {
+                self.netbacks[idx].detach_guest(conn.guest);
+                self.net_hub.destroy(conn.ring);
+                if let Some(fab) = self.fabric.as_mut() {
+                    fab.detach_port(conn.guest);
+                }
+            }
+            Backing::Disk { .. } => {
+                self.blkbacks[idx].detach_guest(conn.guest);
+                self.blk_hub.destroy(conn.ring);
+            }
+        }
+        Ok(())
     }
 
     // ================= constraint groups =================
@@ -1263,22 +1308,35 @@ impl Platform {
     // Workload drivers need a frontend and the ring hub at once; these
     // helpers split the borrows internally.
 
+    /// `guest`'s network frontend and the ring hub it uses.
+    fn netfront(&mut self, guest: DomId) -> Result<(&mut NetFront, &mut NetRingHub), RingError> {
+        let nf = self
+            .guests
+            .get_mut(&guest)
+            .and_then(|h| h.netfront.as_mut())
+            .ok_or(RingError::NotFound)?;
+        Ok((nf, &mut self.net_hub))
+    }
+
+    /// `guest`'s block frontend and the ring hub it uses.
+    fn blkfront(&mut self, guest: DomId) -> Result<(&mut BlkFront, &mut BlkRingHub), RingError> {
+        let bf = self
+            .guests
+            .get_mut(&guest)
+            .and_then(|h| h.blkfront.as_mut())
+            .ok_or(RingError::NotFound)?;
+        Ok((bf, &mut self.blk_hub))
+    }
+
     /// Transmits an aggregate of `bytes` on `flow` from `guest`'s vif.
     pub fn net_transmit(
         &mut self,
         guest: DomId,
         flow: u64,
         bytes: usize,
-    ) -> Result<u64, xoar_devices::ring::RingError> {
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let nf = h
-            .netfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        nf.transmit(&mut self.net_hub, flow, bytes)
+    ) -> Result<u64, RingError> {
+        let (nf, hub) = self.netfront(guest)?;
+        nf.transmit(hub, flow, bytes)
     }
 
     /// Transmits a batch of aggregates on `flow` from `guest`'s vif: one
@@ -1292,16 +1350,9 @@ impl Platform {
         guest: DomId,
         flow: u64,
         sizes: &[usize],
-    ) -> Result<u64, xoar_devices::ring::RingError> {
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let nf = h
-            .netfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let first = nf.transmit_many(&mut self.net_hub, flow, sizes)?;
+    ) -> Result<u64, RingError> {
+        let (nf, hub) = self.netfront(guest)?;
+        let first = nf.transmit_many(hub, flow, sizes)?;
         let port = nf.conn.front_port;
         // Best-effort notify, as in real frontends; repeated notifies
         // coalesce into one pending bit on the backend side.
@@ -1322,27 +1373,20 @@ impl Platform {
         guest: DomId,
         flow: u64,
         pfn: u64,
-    ) -> Result<u64, xoar_devices::ring::RingError> {
+    ) -> Result<u64, RingError> {
         let page = self
             .hv
             .mem
-            .read(guest, xoar_hypervisor::memory::Pfn(pfn))
-            .map_err(|_| xoar_devices::ring::RingError::NotFound)?;
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let nf = h
-            .netfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        nf.transmit_page(&mut self.net_hub, flow, page)
+            .read(guest, Pfn(pfn))
+            .map_err(|_| RingError::NotFound)?;
+        let (nf, hub) = self.netfront(guest)?;
+        nf.transmit_page(hub, flow, page)
     }
 
     /// Receives the next frame delivered to `guest`'s vif.
     pub fn net_receive(&mut self, guest: DomId) -> Option<xoar_devices::net::NetPacket> {
-        let h = self.guests.get_mut(&guest)?;
-        h.netfront.as_mut()?.receive(&mut self.net_hub)
+        let (nf, hub) = self.netfront(guest).ok()?;
+        nf.receive(hub)
     }
 
     /// Writes the page at `guest`'s `pfn` to its vbd at `sector`, passing
@@ -1352,40 +1396,26 @@ impl Platform {
         guest: DomId,
         sector: u64,
         pfn: u64,
-    ) -> Result<u64, xoar_devices::ring::RingError> {
+    ) -> Result<u64, RingError> {
         let page = self
             .hv
             .mem
-            .read(guest, xoar_hypervisor::memory::Pfn(pfn))
-            .map_err(|_| xoar_devices::ring::RingError::NotFound)?;
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let bf = h
-            .blkfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        bf.submit_write_page(&mut self.blk_hub, sector, page)
+            .read(guest, Pfn(pfn))
+            .map_err(|_| RingError::NotFound)?;
+        let (bf, hub) = self.blkfront(guest)?;
+        bf.submit_write_page(hub, sector, page)
     }
 
     /// Submits a block request from `guest`'s vbd.
     pub fn blk_submit(
         &mut self,
         guest: DomId,
-        op: xoar_devices::blk::BlkOp,
+        op: BlkOp,
         sector: u64,
         count: u64,
-    ) -> Result<u64, xoar_devices::ring::RingError> {
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let bf = h
-            .blkfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        bf.submit(&mut self.blk_hub, op, sector, count)
+    ) -> Result<u64, RingError> {
+        let (bf, hub) = self.blkfront(guest)?;
+        bf.submit(hub, op, sector, count)
     }
 
     /// Submits a batch of block requests from `guest`'s vbd: one ring
@@ -1395,17 +1425,10 @@ impl Platform {
     pub fn blk_submit_batch(
         &mut self,
         guest: DomId,
-        ops: &[(xoar_devices::blk::BlkOp, u64, u64)],
-    ) -> Result<Vec<u64>, xoar_devices::ring::RingError> {
-        let h = self
-            .guests
-            .get_mut(&guest)
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let bf = h
-            .blkfront
-            .as_mut()
-            .ok_or(xoar_devices::ring::RingError::NotFound)?;
-        let ids = bf.submit_batch(&mut self.blk_hub, ops)?;
+        ops: &[(BlkOp, u64, u64)],
+    ) -> Result<Vec<u64>, RingError> {
+        let (bf, hub) = self.blkfront(guest)?;
+        let ids = bf.submit_batch(hub, ops)?;
         let port = bf.conn.front_port;
         let _ = self.hv.hypercall(
             guest,
@@ -1418,8 +1441,8 @@ impl Platform {
 
     /// Polls one block completion for `guest`.
     pub fn blk_poll(&mut self, guest: DomId) -> Option<xoar_devices::blk::BlkResponse> {
-        let h = self.guests.get_mut(&guest)?;
-        h.blkfront.as_mut()?.poll(&mut self.blk_hub)
+        let (bf, hub) = self.blkfront(guest).ok()?;
+        bf.poll(hub)
     }
 
     /// Runs one processing pass of every NetBack, returning aggregate
@@ -1433,12 +1456,7 @@ impl Platform {
                 Some(fab) => nb.process_with_fabric(&mut self.net_hub, fab, &mut self.wire),
                 None => nb.process(&mut self.net_hub, &mut self.wire),
             };
-            agg.tx_frames += s.tx_frames;
-            agg.tx_bytes += s.tx_bytes;
-            agg.rx_frames += s.rx_frames;
-            agg.rx_bytes += s.rx_bytes;
-            agg.dropped += s.dropped;
-            agg.service_ns += s.service_ns;
+            agg.merge(&s);
         }
         if let Some(fab) = self.fabric.as_mut() {
             fab.switch(&mut self.net_hub, &mut self.wire);
@@ -1472,19 +1490,12 @@ impl Platform {
         let mut fab = Fabric::new(host);
         for nb in &self.netbacks {
             for conn in nb.conn_iter() {
-                fab.attach_port(*conn);
+                // Refused only past 65,533 live vifs, which then stay
+                // off the switch.
+                let _ = fab.attach_port(*conn);
             }
         }
         self.fabric = Some(fab);
-    }
-
-    /// Adds `conn` as a fabric port, when the fabric is enabled.
-    fn fabric_attach(&mut self, conn: xenbus::Connection) {
-        if let Some(fab) = self.fabric.as_mut() {
-            if conn.kind == DeviceKind::Vif {
-                fab.attach_port(conn);
-            }
-        }
     }
 
     /// Opens a fabric connection `flow: src → dst` (see
@@ -1508,11 +1519,7 @@ impl Platform {
     pub fn process_blkbacks(&mut self) -> xoar_devices::blk::BlkBackStats {
         let mut agg = xoar_devices::blk::BlkBackStats::default();
         for bb in &mut self.blkbacks {
-            let s = bb.process(&mut self.blk_hub);
-            agg.completed += s.completed;
-            agg.errors += s.errors;
-            agg.bytes += s.bytes;
-            agg.service_ns += s.service_ns;
+            agg.merge(&bb.process(&mut self.blk_hub));
         }
         agg
     }
@@ -1535,107 +1542,57 @@ impl Platform {
     ///
     /// Persistent state (domains, their memory, privileges, XenStore)
     /// survives; volatile state (event channels, ring mappings) is lost
-    /// and every guest's device connections are renegotiated through the
-    /// standard xenbus handshake — the same renegotiation the
-    /// microreboot machinery already relies on. Returns the number of
-    /// guests recovered.
+    /// and every running guest's devices are disconnected and connected
+    /// again through the standard xenbus handshake — the same
+    /// renegotiation the microreboot machinery already relies on —
+    /// replaying how each was attached. Returns the number of guests
+    /// recovered.
     pub fn rehype_restart(&mut self) -> HvResult<u64> {
         // 1. Gracefully tear down every device connection while the old
         //    hypervisor's channel state is still coherent.
-        let guests: Vec<DomId> = self.guests.keys().copied().collect();
+        let mut guests: Vec<DomId> = self.guests.keys().copied().collect();
+        guests.sort_unstable_by_key(|g| g.0);
+        let mut replay = Vec::new();
         for &g in &guests {
-            let (net_conn, blk_conn) = {
-                let h = self.guests.get(&g).expect("listed");
-                (
-                    h.netfront.as_ref().map(|f| f.conn),
-                    h.blkfront.as_ref().map(|f| f.conn),
-                )
-            };
-            if let Some(conn) = net_conn {
-                let _ = xenbus::teardown(&mut self.hv, &mut self.xs, &mut self.net_hub, &conn);
-                if let Some(idx) = self
-                    .services
-                    .netbacks
-                    .iter()
-                    .position(|d| *d == conn.backend)
-                {
-                    self.netbacks[idx].detach_guest(g);
-                }
+            // A paused guest (a sealed template) cannot act as a frontend
+            // until it runs again: its rings and backend attachments stay
+            // as they are, and only its event channels are lost.
+            let runs = self
+                .hv
+                .domain(g)
+                .is_ok_and(|d| d.state.can_issue_hypercalls());
+            if !runs {
+                continue;
             }
-            if let Some(conn) = blk_conn {
-                let _ = xenbus::teardown(&mut self.hv, &mut self.xs, &mut self.blk_hub, &conn);
-                if let Some(idx) = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == conn.backend)
-                {
-                    self.blkbacks[idx].detach_guest(g);
-                }
+            let Some(h) = self.guests.get_mut(&g) else {
+                continue;
+            };
+            let toolstack = h.toolstack;
+            for link in [h.vif.take(), h.vbd.take()].into_iter().flatten() {
+                xenbus::teardown(&mut self.hv, &mut self.xs, toolstack, &link.conn);
+                self.disconnect(&link)?;
+                replay.push((toolstack, link));
             }
         }
 
         // 2. The hypervisor restart: volatile channel state vanishes.
         self.hv.reset_event_channels();
-        self.net_hub = NetRingHub::new();
-        self.blk_hub = BlkRingHub::new();
 
-        // 3. Renegotiate every guest's devices against the new hypervisor.
-        let mut recovered = 0;
-        for &g in &guests {
-            let (toolstack, name, netback, blkback) = {
-                let h = self.guests.get(&g).expect("listed");
-                (h.toolstack, h.name.clone(), h.netback, h.blkback)
-            };
-            if let Some(nb) = netback {
-                let conn = xenbus::negotiate(
-                    &mut self.hv,
-                    &mut self.xs,
-                    &mut self.net_hub,
-                    toolstack,
-                    g,
-                    nb,
-                    DeviceKind::Vif,
-                    0,
-                    Pfn(4),
-                )
-                .map_err(|e| HvError::InvalidArgument(format!("vif renegotiation: {e}")))?;
-                let idx = self
-                    .services
-                    .netbacks
-                    .iter()
-                    .position(|d| *d == nb)
-                    .unwrap();
-                self.netbacks[idx].attach(conn);
-                self.fabric_attach(conn);
-                self.guests.get_mut(&g).expect("listed").netfront = Some(NetFront::new(conn));
+        // 3. Renegotiate every device against the new hypervisor, attached
+        //    as it was before (same backend, same image, same CoW flag).
+        for (toolstack, link) in replay {
+            let DeviceLink { conn, backing } = link;
+            let fresh = self.connect(
+                conn.guest,
+                conn.backend,
+                backing,
+                RingSource::Negotiate(toolstack),
+            )?;
+            if let Some(h) = self.guests.get_mut(&conn.guest) {
+                h.install(fresh);
             }
-            if let Some(bb) = blkback {
-                let conn = xenbus::negotiate(
-                    &mut self.hv,
-                    &mut self.xs,
-                    &mut self.blk_hub,
-                    toolstack,
-                    g,
-                    bb,
-                    DeviceKind::Vbd,
-                    0,
-                    Pfn(6),
-                )
-                .map_err(|e| HvError::InvalidArgument(format!("vbd renegotiation: {e}")))?;
-                let idx = self
-                    .services
-                    .blkbacks
-                    .iter()
-                    .position(|d| *d == bb)
-                    .unwrap();
-                self.blkbacks[idx]
-                    .attach(conn, &format!("{name}-root.img"))
-                    .map_err(HvError::InvalidArgument)?;
-                self.guests.get_mut(&g).expect("listed").blkfront = Some(BlkFront::new(conn));
-            }
-            recovered += 1;
         }
+        let recovered = guests.len() as u64;
         let now = self.hv.now_ns();
         self.audit.append(
             now,
@@ -2028,6 +1985,41 @@ mod rehype_tests {
                 guests_recovered: 2
             }
         )));
+        assert_eq!(p.audit.verify_chain(), Ok(()));
+    }
+
+    #[test]
+    fn a_live_clone_survives_a_hypervisor_replacement() {
+        let mut p = Platform::xoar(XoarConfig::default());
+        let ts = p.services.toolstacks[0];
+        let tpl = p
+            .create_guest(ts, GuestConfig::evaluation_guest("golden"))
+            .unwrap();
+        p.capture_template(ts, tpl).unwrap();
+        let clone = p.clone_guest(ts, tpl, "fn-a").unwrap();
+        let tpl_vif_ring = p.guest(tpl).unwrap().vif.as_ref().unwrap().conn.ring;
+
+        assert_eq!(p.rehype_restart().unwrap(), 2);
+
+        // Both carry vif and vbd I/O on the new hypervisor.
+        for g in [tpl, clone] {
+            p.blk_submit(g, BlkOp::Write, 0, 8).unwrap();
+            p.net_transmit(g, 1, 1500).unwrap();
+        }
+        assert_eq!(p.process_blkbacks().completed, 2);
+        assert_eq!(p.process_netbacks().tx_frames, 2);
+        // The running clone renegotiated fresh channels; the paused
+        // template kept its rings.
+        let conn = p.guest(clone).unwrap().netfront.as_ref().unwrap().conn;
+        assert!(p.hv.event_connected(clone, conn.front_port));
+        let tpl_ring = p.guest(tpl).unwrap().vif.as_ref().unwrap().conn.ring;
+        assert_eq!(tpl_ring, tpl_vif_ring);
+        // The clone is still a CoW reader of the template's image.
+        let vbd = p.guest(clone).unwrap().vbd.as_ref().unwrap();
+        let image = "golden-root.img".to_string();
+        assert_eq!(vbd.backing, Backing::Disk { image, cow: true });
+        // One ring per device, no leftovers.
+        assert_eq!((p.net_hub.len(), p.blk_hub.len()), (2, 2));
         assert_eq!(p.audit.verify_chain(), Ok(()));
     }
 

@@ -236,6 +236,16 @@ pub struct BlkBackStats {
     pub service_ns: u64,
 }
 
+impl BlkBackStats {
+    /// Adds `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &Self) {
+        self.completed += other.completed;
+        self.errors += other.errors;
+        self.bytes += other.bytes;
+        self.service_ns += other.service_ns;
+    }
+}
+
 /// The block driver domain.
 #[derive(Debug)]
 pub struct BlkBack {
@@ -261,28 +271,21 @@ impl BlkBack {
         }
     }
 
-    /// Attaches a negotiated connection backed by `image`.
-    pub fn attach(&mut self, conn: Connection, image: &str) -> Result<(), String> {
-        let sectors = self.images.mount(image, conn.guest)?;
+    /// Attaches a negotiated connection backed by `image`: mounted
+    /// exclusively, or — for a clone sharing a golden image — as one of
+    /// its copy-on-write readers.
+    pub fn attach(&mut self, conn: Connection, image: &str, cow: bool) -> Result<(), String> {
+        let sectors = if cow {
+            self.images.mount_cow(image)?
+        } else {
+            self.images.mount(image, conn.guest)?
+        };
         self.attachments.push(Attachment {
             conn,
             image: image.to_string(),
             sectors,
             last_sector: None,
-            cow: false,
-        });
-        Ok(())
-    }
-
-    /// Attaches a clone as a CoW reader of a shared golden image.
-    pub fn attach_cow(&mut self, conn: Connection, image: &str) -> Result<(), String> {
-        let sectors = self.images.mount_cow(image)?;
-        self.attachments.push(Attachment {
-            conn,
-            image: image.to_string(),
-            sectors,
-            last_sector: None,
-            cow: true,
+            cow,
         });
         Ok(())
     }
@@ -373,10 +376,7 @@ impl BlkBack {
                 }
             }
         }
-        self.lifetime.completed += stats.completed;
-        self.lifetime.errors += stats.errors;
-        self.lifetime.bytes += stats.bytes;
-        self.lifetime.service_ns += stats.service_ns;
+        self.lifetime.merge(&stats);
         stats
     }
 
@@ -538,7 +538,7 @@ mod tests {
         let c = conn(5, 2, 0);
         let mut hub = BlkRingHub::new();
         hub.create(c.ring);
-        bb.attach(c, "root.img").unwrap();
+        bb.attach(c, "root.img", false).unwrap();
         (bb, BlkFront::new(c), hub)
     }
 
@@ -692,7 +692,7 @@ mod tests {
         assert_eq!(retry[1].sector, 64);
         // Re-attach on the backend side and replay.
         bb.detach_guest(DomId(5));
-        bb.attach(c2, "root.img").unwrap();
+        bb.attach(c2, "root.img", false).unwrap();
         for r in retry {
             bf.submit(&mut hub, r.op, r.sector, r.count).unwrap();
         }

@@ -151,15 +151,22 @@ impl NatAlloc {
     }
 }
 
-/// What a fabric port is wired to.
-#[derive(Debug, Clone, Copy)]
-enum PortBinding {
-    /// The uplink to the [`WireEndpoint`] hardware model.
-    Uplink,
-    /// An attached guest vif (the negotiated connection carries the ring
-    /// and event-channel rendezvous the switch delivers through).
-    Guest(Connection),
+/// Why the fabric refused to attach a vif.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FabricError {
+    /// Every port number below the route sentinels is held by a live vif.
+    PortsExhausted,
 }
+
+impl std::fmt::Display for FabricError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FabricError::PortsExhausted => write!(f, "fabric switch ports exhausted"),
+        }
+    }
+}
+
+impl std::error::Error for FabricError {}
 
 /// Per-pass / lifetime switching statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -176,6 +183,18 @@ pub struct SwitchStats {
     pub requeued: u64,
     /// Connection-table entries created by conn-track during switching.
     pub flows_learned: u64,
+}
+
+impl SwitchStats {
+    /// Adds `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &Self) {
+        self.to_guests += other.to_guests;
+        self.to_uplink += other.to_uplink;
+        self.bytes += other.bytes;
+        self.dropped += other.dropped;
+        self.requeued += other.requeued;
+        self.flows_learned += other.flows_learned;
+    }
 }
 
 /// One direction of a connection as the switch's single hot-table
@@ -197,7 +216,14 @@ pub struct Fabric {
     /// is the grant-mapped rings of the port table, and its only
     /// hypercalls are the event-channel notifies the caller batches).
     pub dom: DomId,
-    ports: Vec<PortBinding>,
+    /// The port table: port 0 is the uplink to the [`WireEndpoint`];
+    /// every other port holds an attached vif's negotiated connection
+    /// (the ring and event-channel rendezvous the switch delivers
+    /// through), or `None` once detached.
+    ports: Vec<Option<Connection>>,
+    /// Detached port numbers awaiting reuse, so the table never grows
+    /// past the peak number of live vifs.
+    free_ports: Vec<u16>,
     /// MAC → port, learned (seeded at attach, refreshed by ingress).
     mac_table: FastMap<u64, u16>,
     /// DomId → port, learned alongside the MAC table.
@@ -239,7 +265,8 @@ impl Fabric {
     pub fn new(dom: DomId) -> Self {
         Fabric {
             dom,
-            ports: vec![PortBinding::Uplink],
+            ports: vec![None],
+            free_ports: Vec::new(),
             mac_table: FastMap::default(),
             dom_table: FastMap::default(),
             flows: InlineFastMap::new(),
@@ -256,23 +283,36 @@ impl Fabric {
 
     // ================= ports and learning =================
 
-    /// Attaches a vif to a fresh port and seeds the learning tables for
-    /// it (the gratuitous ARP of link-up). Returns the port number.
-    pub fn attach_port(&mut self, conn: Connection) -> u16 {
-        let port = self.ports.len() as u16;
-        self.ports.push(PortBinding::Guest(conn));
+    /// Attaches a vif to a port — a detached one if any, else a fresh
+    /// one — and seeds the learning tables for it (the gratuitous ARP of
+    /// link-up). Returns the port number. Port numbers stay below the
+    /// route sentinels: with every such number held by a live vif the
+    /// attach is refused rather than aliasing the uplink or an older port.
+    pub fn attach_port(&mut self, conn: Connection) -> Result<u16, FabricError> {
+        let port = match self.free_ports.pop() {
+            Some(port) => port,
+            None => {
+                let port = u16::try_from(self.ports.len())
+                    .ok()
+                    .filter(|&p| p < ROUTE_UPLINK)
+                    .ok_or(FabricError::PortsExhausted)?;
+                self.ports.push(None);
+                port
+            }
+        };
+        self.ports[port as usize] = Some(conn);
         self.learn(conn.guest, port);
-        port
+        Ok(port)
     }
 
-    /// Detaches `guest`'s vif: the port empties and the learning entries
-    /// are flushed (frames toward it now flood to the uplink).
+    /// Detaches `guest`'s vif: the port empties for reuse and the learning
+    /// entries are flushed (frames toward it are dropped).
     pub fn detach_port(&mut self, guest: DomId) -> bool {
-        let Some(&port) = self.dom_table.get(&guest) else {
+        let Some(port) = self.dom_table.remove(&guest) else {
             return false;
         };
-        self.ports[port as usize] = PortBinding::Uplink;
-        self.dom_table.remove(&guest);
+        self.ports[port as usize] = None;
+        self.free_ports.push(port);
         self.mac_table.remove(&mac_key(mac_of(guest)));
         true
     }
@@ -295,10 +335,7 @@ impl Fabric {
 
     /// Number of attached guest ports.
     pub fn guest_ports(&self) -> usize {
-        self.ports
-            .iter()
-            .filter(|p| matches!(p, PortBinding::Guest(_)))
-            .count()
+        self.ports.len() - 1 - self.free_ports.len()
     }
 
     // ================= connection table =================
@@ -337,7 +374,7 @@ impl Fabric {
     /// Closes a connection, dropping both directions' state and
     /// releasing its NAT port for reuse.
     pub fn close_flow(&mut self, flow: u64, src: DomId, dst: DomId) -> bool {
-        if !self.flows.get(&(flow, src)).is_some_and(|re| re.dst == dst) {
+        if self.flows.get(&(flow, src)).is_none_or(|re| re.dst != dst) {
             return false;
         }
         let re = self.flows.remove(&(flow, src)).expect("checked above");
@@ -471,7 +508,7 @@ impl Fabric {
                     stats.to_uplink += len as u64;
                 }
                 port => match self.ports.get(port as usize) {
-                    Some(&PortBinding::Guest(c)) => {
+                    Some(&Some(c)) => {
                         self.deliver_run(hub, &c, &mut frames, len, &mut stats);
                     }
                     _ => {
@@ -490,12 +527,7 @@ impl Fabric {
         // buffer keeps its capacity, so steady state never allocates.
         std::mem::swap(&mut self.ingress, &mut self.requeue);
         self.requeue = ingress;
-        self.lifetime.to_guests += stats.to_guests;
-        self.lifetime.to_uplink += stats.to_uplink;
-        self.lifetime.bytes += stats.bytes;
-        self.lifetime.dropped += stats.dropped;
-        self.lifetime.requeued += stats.requeued;
-        self.lifetime.flows_learned += stats.flows_learned;
+        self.lifetime.merge(&stats);
         stats
     }
 
@@ -571,7 +603,7 @@ impl Fabric {
             ROUTE_UPLINK
         } else {
             match self.dom_table.get(&dst) {
-                Some(&port) if matches!(self.ports[port as usize], PortBinding::Guest(_)) => port,
+                Some(&port) if self.ports[port as usize].is_some() => port,
                 _ => ROUTE_DROP,
             }
         };
@@ -662,7 +694,7 @@ mod tests {
         for (i, &g) in guests.iter().enumerate() {
             let c = conn(g, 2, i as u32, 10 + i as u32);
             hub.create(c.ring);
-            fab.attach_port(c);
+            fab.attach_port(c).unwrap();
         }
         (fab, hub, WireEndpoint::new())
     }
@@ -801,6 +833,43 @@ mod tests {
     }
 
     #[test]
+    fn port_churn_never_aliases_a_live_port_or_the_uplink() {
+        // A long-lived guest 6 on port 2, then more vif attach/detach
+        // cycles than the u16 port space holds.
+        let (mut fab, mut hub, mut wire) = fabric_with(&[5, 6]);
+        for i in 0..70_000u32 {
+            let c = conn(100 + i, 2, 10 + i, 20);
+            let port = fab.attach_port(c).unwrap();
+            assert!(port > 2 && port < ROUTE_UPLINK, "port {port}");
+            assert!(fab.detach_port(c.guest));
+        }
+        assert_eq!(fab.guest_ports(), 2);
+        assert_eq!(fab.port_of(DomId(6)), Some(2));
+        fab.open_flow(1, DomId(5), DomId(6)).unwrap();
+        fab.enqueue(DomId(5), NetPacket::meta(1, 0, 1500));
+        let stats = fab.switch(&mut hub, &mut wire);
+        assert_eq!(stats.to_guests, 1);
+        assert_eq!(stats.to_uplink, 0);
+        assert!(ring_pop(&mut hub, 6, 1).is_some(), "frame reached its ring");
+        assert!(wire.outbound.is_empty(), "and never the wire");
+    }
+
+    #[test]
+    fn attach_is_refused_below_the_route_sentinels() {
+        let mut fab = Fabric::new(DomId(2));
+        for g in 1..u32::from(ROUTE_UPLINK) {
+            assert_eq!(fab.attach_port(conn(1000 + g, 2, g, 20)), Ok(g as u16));
+        }
+        assert_eq!(
+            fab.attach_port(conn(999, 2, 0, 20)),
+            Err(FabricError::PortsExhausted)
+        );
+        // A detached port is the next one handed out.
+        assert!(fab.detach_port(DomId(1007)));
+        assert_eq!(fab.attach_port(conn(999, 2, 0, 20)), Ok(7));
+    }
+
+    #[test]
     fn backpressure_requeues_onto_persistent_scratch() {
         let (mut fab, mut hub, mut wire) = fabric_with(&[5, 6]);
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
@@ -826,7 +895,7 @@ mod tests {
         for (i, (g, b)) in [(5u32, 2u32), (6, 2), (7, 3)].iter().enumerate() {
             let c = conn(*g, *b, i as u32, 10 + i as u32);
             hub.create(c.ring);
-            fab.attach_port(c);
+            fab.attach_port(c).unwrap();
         }
         let mut wire = WireEndpoint::new();
         fab.open_flow(1, DomId(5), DomId(6)).unwrap();
@@ -941,7 +1010,7 @@ mod proptests {
                         back_port: 10 + i as u32,
                     };
                     hub.create(c.ring);
-                    fab.attach_port(c);
+                    fab.attach_port(c).unwrap();
                 }
                 (fab, hub, WireEndpoint::new())
             };

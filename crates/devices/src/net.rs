@@ -85,6 +85,18 @@ pub struct NetBackStats {
     pub service_ns: u64,
 }
 
+impl NetBackStats {
+    /// Adds `other`'s counts into `self`.
+    pub fn merge(&mut self, other: &Self) {
+        self.tx_frames += other.tx_frames;
+        self.tx_bytes += other.tx_bytes;
+        self.rx_frames += other.rx_frames;
+        self.rx_bytes += other.rx_bytes;
+        self.dropped += other.dropped;
+        self.service_ns += other.service_ns;
+    }
+}
+
 /// The far end of the physical wire: queues of packets in transit in each
 /// direction, standing in for the test client on the LAN.
 #[derive(Debug, Default)]
@@ -169,15 +181,20 @@ impl NetBack {
         self.attachments.values()
     }
 
-    /// One processing pass: move guest tx frames onto the wire and deliver
-    /// pending wire rx frames into guest rings.
-    pub fn process(&mut self, hub: &mut NetRingHub, wire: &mut WireEndpoint) -> NetBackStats {
-        let mut stats = NetBackStats::default();
-        // TX: guest → wire.
+    /// The tx half of every pass: validates each queued guest frame,
+    /// charges the NIC, acks the slot so the frontend can reuse it, and
+    /// hands the accepted frame with its source guest to `sink` (the
+    /// wire or the fabric). Completions never carry the body — the sink
+    /// takes the handle.
+    fn transmit_queued(
+        &mut self,
+        hub: &mut NetRingHub,
+        stats: &mut NetBackStats,
+        mut sink: impl FnMut(DomId, NetPacket),
+    ) {
         for conn in self.attachments.values() {
-            let ring = match hub.get_mut(conn.ring) {
-                Ok(r) => r,
-                Err(_) => continue,
+            let Ok(ring) = hub.get_mut(conn.ring) else {
+                continue;
             };
             while let Some(pkt) = ring.pop_request() {
                 if pkt.bytes > MAX_GSO_BYTES {
@@ -190,32 +207,32 @@ impl NetBack {
                 self.nic.record_tx(pkt.bytes);
                 stats.tx_frames += 1;
                 stats.tx_bytes += pkt.bytes as u64;
-                // Ack the slot so the frontend can reuse it (completions
-                // never carry the body — the wire takes the handle).
                 let ack = NetPacket::meta(pkt.flow, pkt.seq, pkt.bytes);
-                wire.outbound.push_back(pkt);
+                sink(conn.guest, pkt);
                 let _ = ring.push_response(ack);
             }
         }
+    }
+
+    /// One processing pass: move guest tx frames onto the wire and deliver
+    /// pending wire rx frames into guest rings.
+    pub fn process(&mut self, hub: &mut NetRingHub, wire: &mut WireEndpoint) -> NetBackStats {
+        let mut stats = NetBackStats::default();
+        // TX: guest → wire.
+        self.transmit_queued(hub, &mut stats, |_, pkt| wire.outbound.push_back(pkt));
         // RX: wire → guest. Backpressured frames collect in the persistent
         // scratch queue and are swapped back onto the wire at the end.
         debug_assert!(self.rx_requeue.is_empty());
         while let Some((guest, pkt)) = wire.inbound.pop_front() {
-            let Some(conn) = self.attachments.get(&guest) else {
+            let Some(ring) = self
+                .attachments
+                .get(&guest)
+                .and_then(|conn| hub.get_mut(conn.ring).ok())
+                .filter(|ring| ring.is_attached())
+            else {
                 stats.dropped += 1;
                 continue;
             };
-            let ring = match hub.get_mut(conn.ring) {
-                Ok(r) => r,
-                Err(_) => {
-                    stats.dropped += 1;
-                    continue;
-                }
-            };
-            if !ring.is_attached() {
-                stats.dropped += 1;
-                continue;
-            }
             stats.service_ns += self.nic.tx_time_ns(pkt.bytes);
             self.nic.record_rx(pkt.bytes);
             stats.rx_frames += 1;
@@ -236,12 +253,7 @@ impl NetBack {
         // frames on the wire and keeps the (empty) deque's capacity as next
         // pass's scratch.
         std::mem::swap(&mut wire.inbound, &mut self.rx_requeue);
-        self.lifetime.tx_frames += stats.tx_frames;
-        self.lifetime.tx_bytes += stats.tx_bytes;
-        self.lifetime.rx_frames += stats.rx_frames;
-        self.lifetime.rx_bytes += stats.rx_bytes;
-        self.lifetime.dropped += stats.dropped;
-        self.lifetime.service_ns += stats.service_ns;
+        self.lifetime.merge(&stats);
         stats
     }
 
@@ -260,26 +272,7 @@ impl NetBack {
     ) -> NetBackStats {
         let mut stats = NetBackStats::default();
         // TX: guest → fabric ingress.
-        for conn in self.attachments.values() {
-            let ring = match hub.get_mut(conn.ring) {
-                Ok(r) => r,
-                Err(_) => continue,
-            };
-            while let Some(pkt) = ring.pop_request() {
-                if pkt.bytes > MAX_GSO_BYTES {
-                    stats.dropped += 1;
-                    let _ = ring.push_response(NetPacket::meta(pkt.flow, pkt.seq, 0));
-                    continue;
-                }
-                stats.service_ns += self.nic.tx_time_ns(pkt.bytes);
-                self.nic.record_tx(pkt.bytes);
-                stats.tx_frames += 1;
-                stats.tx_bytes += pkt.bytes as u64;
-                let ack = NetPacket::meta(pkt.flow, pkt.seq, pkt.bytes);
-                fabric.enqueue(conn.guest, pkt);
-                let _ = ring.push_response(ack);
-            }
-        }
+        self.transmit_queued(hub, &mut stats, |src, pkt| fabric.enqueue(src, pkt));
         // RX: wire → uplink port. Only the backend hosting the fabric
         // drains the wire, so external frames enter the switch once.
         if fabric.dom == self.dom {
@@ -291,12 +284,7 @@ impl NetBack {
                 fabric.enqueue_from_uplink(guest, pkt);
             }
         }
-        self.lifetime.tx_frames += stats.tx_frames;
-        self.lifetime.tx_bytes += stats.tx_bytes;
-        self.lifetime.rx_frames += stats.rx_frames;
-        self.lifetime.rx_bytes += stats.rx_bytes;
-        self.lifetime.dropped += stats.dropped;
-        self.lifetime.service_ns += stats.service_ns;
+        self.lifetime.merge(&stats);
         stats
     }
 
@@ -374,11 +362,6 @@ impl NetFront {
     /// Receives the next delivered frame (rx or tx completion).
     pub fn receive(&mut self, hub: &mut NetRingHub) -> Option<NetPacket> {
         hub.get_mut(self.conn.ring).ok()?.pop_response()
-    }
-
-    /// Replaces the connection after renegotiation.
-    pub fn reconnect(&mut self, conn: Connection) {
-        self.conn = conn;
     }
 }
 

@@ -265,12 +265,7 @@ impl<Req, Resp> RingHub<Req, Resp> {
 
     /// Creates a ring for `id` with the default slot count.
     pub fn create(&mut self, id: RingId) {
-        self.create_with_slots(id, DEFAULT_RING_SLOTS);
-    }
-
-    /// Creates a ring for `id` with an explicit slot count.
-    pub fn create_with_slots(&mut self, id: RingId, slots: usize) {
-        self.rings.insert(id, Ring::new(slots));
+        self.rings.insert(id, Ring::new(DEFAULT_RING_SLOTS));
     }
 
     /// Accesses a ring.
@@ -286,19 +281,6 @@ impl<Req, Resp> RingHub<Req, Resp> {
     /// Destroys a ring entirely (page reclaimed after unmap).
     pub fn destroy(&mut self, id: RingId) -> bool {
         self.rings.remove(&id).is_some()
-    }
-
-    /// Detaches every ring granted by `dom` (frontend death) — backends
-    /// observe `Detached` on next touch.
-    pub fn detach_granter(&mut self, dom: DomId) -> usize {
-        let mut n = 0;
-        for (id, ring) in self.rings.iter_mut() {
-            if id.granter == dom && ring.is_attached() {
-                ring.detach();
-                n += 1;
-            }
-        }
-        n
     }
 
     /// Number of rings present.
@@ -438,19 +420,6 @@ mod tests {
             PageRef::ptr_eq(&page, &back),
             "no byte copy on the response path"
         );
-    }
-
-    #[test]
-    fn detach_granter_hits_all_rings_of_domain() {
-        let mut hub: RingHub<u32, u32> = RingHub::new();
-        hub.create(rid(5, 1));
-        hub.create(rid(5, 2));
-        hub.create(rid(6, 1));
-        assert_eq!(hub.detach_granter(DomId(5)), 2);
-        assert!(!hub.get(rid(5, 1)).unwrap().is_attached());
-        assert!(hub.get(rid(6, 1)).unwrap().is_attached());
-        // Idempotent: already-detached rings are not counted again.
-        assert_eq!(hub.detach_granter(DomId(5)), 0);
     }
 }
 

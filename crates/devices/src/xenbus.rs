@@ -18,7 +18,7 @@ use xoar_hypervisor::memory::Pfn;
 use xoar_hypervisor::{DomId, Hypercall, Hypervisor};
 use xoar_xenstore::XenStore;
 
-use crate::ring::{RingHub, RingId};
+use crate::ring::RingId;
 
 /// The xenbus connection states, as encoded in the `state` keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,13 +211,12 @@ pub fn toolstack_link(
     Ok(())
 }
 
-/// Step 2 — frontend initialisation: allocate the shared page, grant it
-/// to the backend, allocate an unbound event channel, and publish
-/// `ring-ref` / `event-channel` / `state = Initialised`.
-pub fn frontend_init<Req, Resp>(
+/// Step 2 — frontend initialisation: grant the shared ring page to the
+/// backend, allocate an unbound event channel, and publish `ring-ref` /
+/// `event-channel` / `state = Initialised`.
+pub fn frontend_init(
     hv: &mut Hypervisor,
     xs: &mut XenStore,
-    hub: &mut RingHub<Req, Resp>,
     guest: DomId,
     kind: DeviceKind,
     index: u32,
@@ -242,10 +241,6 @@ pub fn frontend_init<Req, Resp>(
     let port = hv
         .hypercall(guest, Hypercall::EvtchnAllocUnbound { remote: backend })?
         .port()?;
-    hub.create(RingId {
-        granter: guest,
-        gref,
-    });
     xs.write_str(guest, &format!("{fp}/ring-ref"), &gref.0.to_string())?;
     xs.write_str(guest, &format!("{fp}/event-channel"), &port.to_string())?;
     xs.write_str(
@@ -331,37 +326,14 @@ pub fn backend_accept(
     })
 }
 
-/// Performs the complete three-step negotiation.
-pub fn negotiate<Req, Resp>(
-    hv: &mut Hypervisor,
-    xs: &mut XenStore,
-    hub: &mut RingHub<Req, Resp>,
-    actor: DomId,
-    guest: DomId,
-    backend: DomId,
-    kind: DeviceKind,
-    index: u32,
-    ring_pfn: Pfn,
-) -> XbResult<Connection> {
-    toolstack_link(xs, actor, guest, backend, kind, index)?;
-    frontend_init(hv, xs, hub, guest, kind, index, ring_pfn)?;
-    backend_accept(hv, xs, backend, kind, guest, index)
-}
-
-/// Tears down a connection (backend restart or device removal): detaches
-/// the ring, closes the ports, and resets the xenbus states so a fresh
-/// negotiation can run.
-pub fn teardown<Req, Resp>(
-    hv: &mut Hypervisor,
-    xs: &mut XenStore,
-    hub: &mut RingHub<Req, Resp>,
-    conn: &Connection,
-) -> XbResult<usize> {
-    let lost = match hub.get_mut(conn.ring) {
-        Ok(ring) => ring.detach(),
-        Err(_) => 0,
-    };
-    hub.destroy(conn.ring);
+/// Tears down a live connection whose peers survive (a hypervisor
+/// replacement): closes the frontend's port, ends its ring grant, has
+/// `actor` (the toolstack) withdraw the now-stale `ring-ref` and
+/// `event-channel` keys, and resets the xenbus states, so the three
+/// steps above can run again. The shared ring itself is the caller's to
+/// destroy. Every step is best-effort: a half-torn connection must not
+/// block the renegotiation that follows.
+pub fn teardown(hv: &mut Hypervisor, xs: &mut XenStore, actor: DomId, conn: &Connection) {
     let _ = hv.hypercall(
         conn.guest,
         Hypercall::EvtchnClose {
@@ -376,6 +348,9 @@ pub fn teardown<Req, Resp>(
     );
     let fp = frontend_path(conn.guest, conn.kind, conn.index);
     let bp = backend_path(conn.backend, conn.kind, conn.guest, conn.index);
+    for key in ["ring-ref", "event-channel"] {
+        let _ = xs.rm(actor, &format!("{fp}/{key}"));
+    }
     let _ = xs.write_str(
         conn.guest,
         &format!("{fp}/state"),
@@ -386,7 +361,6 @@ pub fn teardown<Req, Resp>(
         &format!("{bp}/state"),
         &XenbusState::InitWait.encode(),
     );
-    Ok(lost)
 }
 
 #[cfg(test)]
@@ -396,7 +370,7 @@ mod tests {
     use xoar_hypervisor::PrivilegeSet;
 
     /// A platform with dom0 control VM, one backend shard, one guest.
-    fn setup() -> (Hypervisor, XenStore, RingHub<u32, u32>, DomId, DomId, DomId) {
+    fn setup() -> (Hypervisor, XenStore, DomId, DomId, DomId) {
         let mut hv = Hypervisor::with_default_host();
         let dom0 = hv
             .create_boot_domain("dom0", DomainRole::ControlVm, 512, PrivilegeSet::dom0())
@@ -446,24 +420,27 @@ mod tests {
         xs.set_privileged(dom0, true);
         xs.create_domain_home(dom0, guest).unwrap();
         xs.create_domain_home(dom0, backend).unwrap();
-        (hv, xs, RingHub::new(), dom0, backend, guest)
+        (hv, xs, dom0, backend, guest)
+    }
+
+    /// All three steps for the guest's vif 0, linked by dom0.
+    fn negotiate(
+        hv: &mut Hypervisor,
+        xs: &mut XenStore,
+        dom0: DomId,
+        guest: DomId,
+        backend: DomId,
+        ring_pfn: Pfn,
+    ) -> XbResult<Connection> {
+        toolstack_link(xs, dom0, guest, backend, DeviceKind::Vif, 0)?;
+        frontend_init(hv, xs, guest, DeviceKind::Vif, 0, ring_pfn)?;
+        backend_accept(hv, xs, backend, DeviceKind::Vif, guest, 0)
     }
 
     #[test]
     fn full_negotiation_connects() {
-        let (mut hv, mut xs, mut hub, dom0, backend, guest) = setup();
-        let conn = negotiate(
-            &mut hv,
-            &mut xs,
-            &mut hub,
-            dom0,
-            guest,
-            backend,
-            DeviceKind::Vif,
-            0,
-            Pfn(1),
-        )
-        .unwrap();
+        let (mut hv, mut xs, dom0, backend, guest) = setup();
+        let conn = negotiate(&mut hv, &mut xs, dom0, guest, backend, Pfn(1)).unwrap();
         assert_eq!(conn.guest, guest);
         assert_eq!(conn.backend, backend);
         // Both state keys read Connected.
@@ -471,8 +448,12 @@ mod tests {
         let bp = backend_path(backend, DeviceKind::Vif, guest, 0);
         assert_eq!(xs.read_str(dom0, &format!("{fp}/state")).unwrap(), "4");
         assert_eq!(xs.read_str(dom0, &format!("{bp}/state")).unwrap(), "4");
-        // Ring exists and event channel is live in both directions.
-        assert!(hub.get(conn.ring).unwrap().is_attached());
+        // The ring page is granted to the backend and the event channel
+        // is live in both directions.
+        let granted = hv.grant_table(guest).unwrap().granted_to(backend);
+        assert!(granted
+            .iter()
+            .any(|(g, e)| *g == conn.ring.gref && e.pfn == Pfn(1)));
         hv.hypercall(
             guest,
             Hypercall::EvtchnSend {
@@ -485,7 +466,7 @@ mod tests {
 
     #[test]
     fn backend_cannot_accept_before_frontend_init() {
-        let (mut hv, mut xs, _hub, dom0, backend, guest) = setup();
+        let (mut hv, mut xs, dom0, backend, guest) = setup();
         toolstack_link(&mut xs, dom0, guest, backend, DeviceKind::Vif, 0).unwrap();
         let err = backend_accept(&mut hv, &mut xs, backend, DeviceKind::Vif, guest, 0);
         assert!(matches!(err, Err(XenbusError::Protocol(_))));
@@ -493,58 +474,47 @@ mod tests {
 
     #[test]
     fn negotiation_fails_without_delegation() {
-        let (mut hv, mut xs, mut hub, dom0, backend, guest) = setup();
+        let (mut hv, mut xs, dom0, backend, guest) = setup();
         // Revoke delegation: the IVC policy must refuse the grant.
         hv.domain_mut(guest)
             .unwrap()
             .delegated_shards
             .remove(&backend);
-        let err = negotiate(
-            &mut hv,
-            &mut xs,
-            &mut hub,
-            dom0,
-            guest,
-            backend,
-            DeviceKind::Vif,
-            0,
-            Pfn(1),
-        );
+        let err = negotiate(&mut hv, &mut xs, dom0, guest, backend, Pfn(1));
         assert!(matches!(err, Err(XenbusError::Hv(_))));
     }
 
     #[test]
     fn teardown_enables_renegotiation() {
-        let (mut hv, mut xs, mut hub, dom0, backend, guest) = setup();
-        let conn = negotiate(
-            &mut hv,
-            &mut xs,
-            &mut hub,
-            dom0,
-            guest,
-            backend,
-            DeviceKind::Vif,
-            0,
-            Pfn(1),
-        )
-        .unwrap();
-        hub.get_mut(conn.ring).unwrap().push_request(42).unwrap();
-        let lost = teardown(&mut hv, &mut xs, &mut hub, &conn).unwrap();
-        assert_eq!(lost, 1, "in-flight request dropped on teardown");
+        let (mut hv, mut xs, dom0, backend, guest) = setup();
+        let conn = negotiate(&mut hv, &mut xs, dom0, guest, backend, Pfn(1)).unwrap();
+        teardown(&mut hv, &mut xs, dom0, &conn);
+        assert!(!hv.event_connected(guest, conn.front_port), "port closed");
+        let fp = frontend_path(guest, DeviceKind::Vif, 0);
+        assert!(xs.read_str(dom0, &format!("{fp}/ring-ref")).is_err());
         // Renegotiate: frontend re-publishes, backend re-accepts.
-        frontend_init(
-            &mut hv,
-            &mut xs,
-            &mut hub,
-            guest,
-            DeviceKind::Vif,
-            0,
-            Pfn(2),
-        )
-        .unwrap();
+        frontend_init(&mut hv, &mut xs, guest, DeviceKind::Vif, 0, Pfn(2)).unwrap();
         let conn2 = backend_accept(&mut hv, &mut xs, backend, DeviceKind::Vif, guest, 0).unwrap();
         assert_ne!(conn.ring.gref, conn2.ring.gref, "fresh grant after restart");
-        assert!(hub.get(conn2.ring).unwrap().is_attached());
+        assert!(hv.event_connected(guest, conn2.front_port));
+    }
+
+    #[test]
+    fn teardown_frees_rendezvous_keys_the_toolstack_wrote() {
+        // A stamped clone's frontend keys are written by the toolstack,
+        // not the guest; renegotiation must still be able to republish.
+        let (mut hv, mut xs, dom0, backend, guest) = setup();
+        let conn = negotiate(&mut hv, &mut xs, dom0, guest, backend, Pfn(1)).unwrap();
+        let fp = frontend_path(guest, DeviceKind::Vif, 0);
+        for key in ["ring-ref", "event-channel"] {
+            let node = format!("{fp}/{key}");
+            let value = xs.read_str(dom0, &node).unwrap();
+            xs.rm(dom0, &node).unwrap();
+            xs.write_str(dom0, &node, &value).unwrap();
+        }
+        assert!(xs.write_str(guest, &format!("{fp}/ring-ref"), "0").is_err());
+        teardown(&mut hv, &mut xs, dom0, &conn);
+        negotiate(&mut hv, &mut xs, dom0, guest, backend, Pfn(1)).unwrap();
     }
 
     #[test]

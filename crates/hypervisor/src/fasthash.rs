@@ -57,11 +57,9 @@ impl<K: Eq + Hash + Copy, V, const N: usize> InlineFastMap<K, V, N> {
     /// Looks up `key`, probing the inline slots before the spill map.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
-        for slot in &self.inline {
-            if let Some((k, v)) = slot {
-                if k == key {
-                    return Some(v);
-                }
+        for (k, v) in self.inline.iter().flatten() {
+            if k == key {
+                return Some(v);
             }
         }
         self.spill.get(key)
@@ -70,11 +68,9 @@ impl<K: Eq + Hash + Copy, V, const N: usize> InlineFastMap<K, V, N> {
     /// Mutable lookup, same probe order as [`Self::get`].
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        for slot in &mut self.inline {
-            if let Some((k, v)) = slot {
-                if k == key {
-                    return Some(v);
-                }
+        for (k, v) in self.inline.iter_mut().flatten() {
+            if *k == *key {
+                return Some(v);
             }
         }
         self.spill.get_mut(key)
@@ -257,7 +253,7 @@ mod tests {
         m.insert(9, "nine");
         assert_eq!(m.get(&7), Some(&"seven"));
         assert_eq!(m.remove(&9), Some("nine"));
-        assert!(m.get(&9).is_none());
+        assert_eq!(m.get(&9), None);
     }
 
     #[test]

@@ -776,7 +776,7 @@ mod tests {
         // The paper: "around 40 hypercalls". Our model keeps the same
         // order of magnitude.
         let n = HypercallId::all_privileged().len() + HypercallId::all_unprivileged().len();
-        assert!(n >= 30 && n <= 45, "hypercall count {n} out of range");
+        assert!((30..=45).contains(&n), "hypercall count {n} out of range");
     }
 
     #[test]

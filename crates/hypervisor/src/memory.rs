@@ -262,13 +262,13 @@ impl PartialEq<&[u8]> for PageRef {
 
 impl<const N: usize> PartialEq<[u8; N]> for PageRef {
     fn eq(&self, other: &[u8; N]) -> bool {
-        &*self.0 == &other[..]
+        *self.0 == other[..]
     }
 }
 
 impl<const N: usize> PartialEq<&[u8; N]> for PageRef {
     fn eq(&self, other: &&[u8; N]) -> bool {
-        &*self.0 == &other[..]
+        *self.0 == other[..]
     }
 }
 

@@ -111,7 +111,7 @@ pub fn survey(platform: &Platform) -> SurfaceSurvey {
             authority: d.privileges.authority_score(),
         });
     }
-    components.sort_by(|a, b| b.risk_product().cmp(&a.risk_product()));
+    components.sort_by_key(|c| std::cmp::Reverse(c.risk_product()));
     SurfaceSurvey { components }
 }
 

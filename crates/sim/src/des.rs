@@ -86,14 +86,6 @@ impl<E: Eq> Engine<E> {
         self.schedule(self.now_ns + delay_ns, event);
     }
 
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn next(&mut self) -> Option<(u64, E)> {
-        let Reverse(s) = self.queue.pop()?;
-        self.now_ns = s.at_ns;
-        self.processed += 1;
-        Some((s.at_ns, s.event))
-    }
-
     /// Pops *all* events sharing the earliest timestamp, in insertion
     /// (sequence) order, advancing the clock to that timestamp.
     ///
@@ -130,6 +122,18 @@ impl<E: Eq> Engine<E> {
     /// Events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
+    }
+}
+
+impl<E: Eq> Iterator for Engine<E> {
+    type Item = (u64, E);
+
+    /// Pops the next event, advancing the clock to its timestamp.
+    fn next(&mut self) -> Option<(u64, E)> {
+        let Reverse(s) = self.queue.pop()?;
+        self.now_ns = s.at_ns;
+        self.processed += 1;
+        Some((s.at_ns, s.event))
     }
 }
 
@@ -171,7 +175,7 @@ mod tests {
         eng.schedule(5, 1);
         eng.schedule(7, 2);
         let mut last = 0;
-        while let Some((t, _)) = eng.next() {
+        for (t, _) in eng.by_ref() {
             assert!(t >= last);
             last = t;
         }

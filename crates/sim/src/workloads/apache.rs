@@ -123,17 +123,12 @@ pub fn run(mode: PlatformMode, cfg: AbConfig) -> AbResult {
         //    worker-dependent jitter models timer slack and breaks the
         //    degenerate resonance between the 3 s timer and integer-second
         //    restart intervals.
-        loop {
-            match in_outage(t, cfg) {
-                Some(_) => {
-                    // Timer slack: real SYN retransmissions carry tens of
-                    // milliseconds of scheduling jitter, which is what
-                    // keeps them from resonating with periodic outages.
-                    let jitter = (t ^ (w as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
-                    t += SYN_TIMEOUT_NS + jitter % 60_000_000;
-                }
-                None => break,
-            }
+        while in_outage(t, cfg).is_some() {
+            // Timer slack: real SYN retransmissions carry tens of
+            // milliseconds of scheduling jitter, which is what keeps
+            // them from resonating with periodic outages.
+            let jitter = (t ^ (w as u64)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            t += SYN_TIMEOUT_NS + jitter % 60_000_000;
         }
         t += RTT_NS;
 

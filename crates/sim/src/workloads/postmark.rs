@@ -176,7 +176,7 @@ pub fn run(
             }
         } else {
             dirty_txns += 1;
-            if dirty_txns % WRITEBACK_BATCH == 0 {
+            if dirty_txns.is_multiple_of(WRITEBACK_BATCH) {
                 flush(
                     platform,
                     &mut elapsed_ns,

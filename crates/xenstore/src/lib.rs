@@ -37,7 +37,6 @@ pub mod logic;
 pub mod path;
 pub mod perm;
 pub mod proto;
-pub mod ring;
 pub mod state;
 pub mod watch;
 
@@ -46,6 +45,5 @@ pub use logic::{Quotas, XenStoreLogic};
 pub use path::XsPath;
 pub use perm::{NodePerms, PermEntry, PermLevel};
 pub use proto::{Request, Response, XenStore};
-pub use ring::{XsRingError, XsRingTransport};
 pub use state::XenStoreState;
 pub use watch::WatchEvent;

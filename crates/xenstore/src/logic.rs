@@ -1035,7 +1035,7 @@ mod tests {
             .unwrap();
 
         // Microreboot Logic.
-        l.restart(&mut s);
+        l.restart(&s);
 
         // Durable data survives.
         assert_eq!(
@@ -1071,7 +1071,7 @@ mod tests {
         assert_eq!(l.node_count(guest), 0);
         assert!(l.poll_watch(guest).is_none());
         // Journal cleaned: restart does not resurrect the watch.
-        l.restart(&mut s);
+        l.restart(&s);
         l.write(&mut s, DomId(0), None, &p("/local/domain/7/x"), b"v")
             .unwrap();
         assert!(l.poll_watch(guest).is_none());
@@ -1138,11 +1138,11 @@ mod proptests {
                         }
                     }
                     _ => {
-                        l.restart(&mut s);
+                        l.restart(&s);
                     }
                 }
             }
-            l.restart(&mut s);
+            l.restart(&s);
             for (key, value) in shadow {
                 assert_eq!(l.read(&mut s, dom0, None, &p(&key)).unwrap(), value);
             }

@@ -156,7 +156,7 @@ impl XenStore {
 
     /// Microreboots the Logic half; State survives.
     pub fn restart_logic(&mut self) {
-        self.logic.restart(&mut self.state);
+        self.logic.restart(&self.state);
     }
 
     /// Number of Logic restarts so far.
@@ -167,7 +167,7 @@ impl XenStore {
     /// Handles one framed request from `dom`.
     pub fn handle(&mut self, dom: DomId, req: Request) -> Response {
         if self.per_request_restart {
-            self.logic.restart(&mut self.state);
+            self.logic.restart(&self.state);
         }
         match self.dispatch(dom, req) {
             Ok(resp) => resp,

@@ -492,7 +492,7 @@ mod persistence_tests {
         let mut state = XenStoreState::recover(&blob).unwrap();
         let mut logic = XenStoreLogic::new();
         logic.set_privileged(dom0, true);
-        logic.recover(&mut state);
+        logic.recover(&state);
         assert_eq!(
             logic
                 .read(&mut state, dom0, None, &XsPath::parse("/tool/cfg").unwrap())

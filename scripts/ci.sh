@@ -83,4 +83,13 @@ else
     echo "rustfmt not installed; skipping format check"
 fi
 
+# Lint gate, only where clippy is installed: every workspace target,
+# warnings as errors. (e2ebench/ is a package of its own and is not
+# linted here.)
+if cargo clippy --version >/dev/null 2>&1; then
+    cargo clippy --workspace --all-targets --offline -- -D warnings
+else
+    echo "clippy not installed; skipping lint check"
+fi
+
 echo "ci.sh: all checks passed"

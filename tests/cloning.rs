@@ -279,6 +279,13 @@ fn rollback_does_not_resurrect_grants_revoked_after_snapshot() {
 #[test]
 fn destroyed_clone_frees_its_private_frames_only() {
     let (mut p, mut ts, _built, tpl, clone) = cloned_world();
+    p.enable_fabric();
+    let h = p.guest(clone).unwrap();
+    let (vif, vbd) = (
+        h.netfront.as_ref().unwrap().conn,
+        h.blkfront.as_ref().unwrap().conn,
+    );
+    let ports_before = p.fabric.as_ref().unwrap().guest_ports();
     p.hv.mem.write(clone, Pfn(0), b"private").unwrap();
     let free_before = p.hv.mem.free_frames();
     ts.destroy(&mut p, clone).unwrap();
@@ -286,6 +293,14 @@ fn destroyed_clone_frees_its_private_frames_only() {
         p.hv.mem.free_frames() > free_before,
         "broken frames return to the allocator"
     );
+    // Its two rings, its fabric port and its backend attachments go too.
+    assert!(p.net_hub.get(vif.ring).is_err(), "vif ring destroyed");
+    assert!(p.blk_hub.get(vbd.ring).is_err(), "vbd ring destroyed");
+    let fab = p.fabric.as_ref().unwrap();
+    assert_eq!(fab.port_of(clone), None);
+    assert_eq!(fab.guest_ports(), ports_before - 1);
+    assert!(p.netbacks[0].connections().iter().all(|c| c.guest != clone));
+    assert!(p.blkbacks[0].connections().iter().all(|c| c.guest != clone));
     // The template is intact and can still be cloned.
     assert_eq!(p.hv.domain(tpl).unwrap().state, DomainState::Paused);
     ts.clone(&mut p, tpl, "fn-again").unwrap();

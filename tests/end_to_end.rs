@@ -209,6 +209,11 @@ fn memory_is_reclaimed_after_destroy() {
 fn platform_survives_many_create_destroy_cycles() {
     let mut p = Platform::xoar(XoarConfig::default());
     let ts = p.services.toolstacks[0];
+    let rings = (p.net_hub.len(), p.blk_hub.len());
+    let conns = (
+        p.netbacks[0].connections().len(),
+        p.blkbacks[0].connections().len(),
+    );
     for i in 0..25 {
         let g = p
             .create_guest(ts, GuestConfig::evaluation_guest(&format!("cycle-{i}")))
@@ -219,6 +224,15 @@ fn platform_survives_many_create_destroy_cycles() {
     }
     assert!(p.guests().is_empty());
     assert_eq!(p.audit.records().len(), 25 * 6, "6 audit records per cycle");
+    // Nothing of the destroyed guests lingers in the data path.
+    assert_eq!((p.net_hub.len(), p.blk_hub.len()), rings);
+    assert_eq!(
+        (
+            p.netbacks[0].connections().len(),
+            p.blkbacks[0].connections().len()
+        ),
+        conns
+    );
 }
 
 #[test]
@@ -250,34 +264,4 @@ fn hvm_guest_device_emulation_io() {
     let stats = p.qemus.get(&g).unwrap().stats();
     assert!(stats.io_exits >= 24);
     assert_eq!(stats.dma_ops, 1);
-}
-
-#[test]
-fn xenstore_ring_transport_on_platform() {
-    // Guests can reach the store over the boot-time ring transport too.
-    use xoar_xenstore::{Request, Response, XsRingTransport};
-    let mut p = Platform::xoar(XoarConfig::default());
-    let ts = p.services.toolstacks[0];
-    let g = p
-        .create_guest(ts, GuestConfig::evaluation_guest("ringer"))
-        .unwrap();
-    let mut transport = XsRingTransport::new();
-    transport.connect(g);
-    transport
-        .submit(
-            g,
-            Request::Write {
-                txn: None,
-                path: format!("/local/domain/{}/data/boot", g.0),
-                value: b"ok".to_vec(),
-            },
-        )
-        .unwrap();
-    transport.service(&mut p.xs);
-    assert!(matches!(transport.poll(g).unwrap().1, Response::Ok));
-    assert_eq!(
-        p.xs.read_str(g, &format!("/local/domain/{}/data/boot", g.0))
-            .unwrap(),
-        "ok"
-    );
 }

@@ -139,8 +139,12 @@ fn apply(m: &mut MemoryManager, op: &Op) -> u64 {
     }
 }
 
+/// Free frames, shared frames, frames owned per domain, each domain's
+/// p2m as `(pfn, mfn)` pairs, and each domain's page contents.
+type Observation = (u64, u64, Vec<u64>, Vec<Vec<(u64, u64)>>, Vec<Vec<Vec<u8>>>);
+
 /// Everything two schedules must agree on after a run.
-fn observe(m: &mut MemoryManager) -> (u64, u64, Vec<u64>, Vec<Vec<(u64, u64)>>, Vec<Vec<Vec<u8>>>) {
+fn observe(m: &mut MemoryManager) -> Observation {
     let per_dom_owned = DOMS.iter().map(|&d| m.owned_frames(d)).collect();
     let p2ms = DOMS
         .iter()

@@ -82,16 +82,14 @@ fn platform_invariants_hold_under_random_ops() {
 
             // Invariant 1: every live guest's shards are live.
             for g in p.guests() {
-                for shard in [g.netback, g.blkback] {
-                    if let Some(s) = shard {
-                        assert_eq!(
-                            p.hv.domain(s).unwrap().state,
-                            DomainState::Running,
-                            "guest {} has dead shard {}",
-                            g.dom,
-                            s
-                        );
-                    }
+                for s in [g.netback, g.blkback].into_iter().flatten() {
+                    assert_eq!(
+                        p.hv.domain(s).unwrap().state,
+                        DomainState::Running,
+                        "guest {} has dead shard {}",
+                        g.dom,
+                        s
+                    );
                 }
             }
             // Invariant 2: no shard serves two different constraint tags.
